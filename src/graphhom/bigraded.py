@@ -38,9 +38,6 @@ class BigradedDims:
     def rank_at(self, key: Bigrading) -> int:
         return self.dims.get(key, (0, ()))[0]
 
-    def torsion_at(self, key: Bigrading) -> Tuple[int, ...]:
-        return self.dims.get(key, (0, ()))[1]
-
     def total_rank(self) -> int:
         return sum(r for r, _ in self.dims.values())
 
@@ -66,20 +63,10 @@ class BigradedDims:
                     out[k] = out.get(k, 0) + r1 * r2
         return BigradedDims.of_ranks(out)
 
-    def shifted(self, di: int, dj: int) -> "BigradedDims":
-        return BigradedDims({(i + di, j + dj): e for (i, j), e in self.dims.items()})
-
     def poincare(self, tags: Tuple[str, str] = ("u", "t")) -> Laurent:
         """Two-variable Poincare polynomial; exponent keys are the
         doubled gradings directly."""
         return Laurent(tags, {k: r for k, (r, _) in self.dims.items() if r})
-
-    def collapse_second(self, tag: str = "u") -> Laurent:
-        out: Dict[Tuple[int], int] = {}
-        for (i, _), (r, _t) in self.dims.items():
-            if r:
-                out[(i,)] = out.get((i,), 0) + r
-        return Laurent((tag,), out)
 
     def dual_ranks(self) -> "BigradedDims":
         return BigradedDims.of_ranks(

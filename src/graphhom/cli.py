@@ -22,12 +22,12 @@ from typing import Dict, List, Optional, Tuple
 
 from .diagrams import GraphDiagram
 from .errors import CapExceeded, GraphhomError, InvalidDiagram
-from .floer import euler_matches_skein, hat_euler, hat_from_grid, total_homology_from_grid
-from .graph_homology import SKIP_GRID, graph_homology
+from .floer import FLOER_GRID_CAP
+from .graph_homology import MemberReport, floer_fields, graph_homology, khovanov_fields
 from .grid import GridDiagram, grid_to_diagram, pd_to_grid, simplify_grid
-from .invariants import alexander, conway, determinant, fingerprint, jones, reduce_diagram
+from .invariants import conway, determinant, fingerprint, reduce_diagram
 from .kauffman import family
-from .khovanov import graded_euler, khovanov_homology, unnormalized_jones
+from .khovanov import KHOVANOV_CROSSING_CAP
 from .moves import random_move_sequence
 
 _CENSUS_PACKAGE = "graphhom.census"
@@ -151,26 +151,19 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_khovanov(args) -> int:
     d = _require_link(_load_diagram(args.path), args.path)
-    reduced = reduce_diagram(d)
-    if len(reduced.crossings) > args.max_crossings:
-        _emit(
-            {
-                "skip": "khovanov: skipped (too many crossings)",
-                "crossings": len(reduced.crossings),
-            }
-        )
+    fields = khovanov_fields(d, args.coeffs, args.max_crossings)
+    if "khovanov_skip" in fields:
+        _emit({"skip": fields["khovanov_skip"], "crossings": len(reduce_diagram(d).crossings)})
         return 1
-    dims = khovanov_homology(reduced, args.coeffs, args.max_crossings)
     doc = {
         "coeffs": args.coeffs,
-        "dims": dims.to_json(),
-        "euler": graded_euler(dims).to_json(),
+        "dims": fields["khovanov"].to_json(),
+        "euler": fields["khovanov_euler"].to_json(),
     }
     code = 0
     if args.check_euler:
-        ok = graded_euler(dims) == unnormalized_jones(d)
-        doc["euler_check"] = "pass" if ok else "fail"
-        code = 0 if ok else 1
+        doc["euler_check"] = fields["jones_check"]
+        code = 0 if fields["jones_check"] == "pass" else 1
     _emit(doc)
     return code
 
@@ -198,22 +191,21 @@ def _cmd_floer(args) -> int:
         source = "link"
     g = simplify_grid(g)
     out: dict = {"source": source, "grid": g.to_json(), "components": g.component_count()}
-    if g.n > args.max_grid:
-        out["skip"] = SKIP_GRID
+    fields = floer_fields(g, d, args.max_grid)
+    if "floer_skip" in fields:
+        out["skip"] = fields["floer_skip"]
         _emit(out)
         return 1
-    hat = hat_from_grid(g, args.max_grid)
-    check = euler_matches_skein(hat, d)
     out.update(
         {
-            "hat": hat.to_json(),
-            "euler": hat_euler(hat).to_json(),
-            "euler_check": check,
-            "total_poincare": total_homology_from_grid(g, args.max_grid).to_json(),
+            "hat": fields["floer"].to_json(),
+            "euler": fields["floer_euler"].to_json(),
+            "euler_check": fields["floer_check"],
+            "total_poincare": fields["total_poincare"].to_json(),
         }
     )
     _emit(out)
-    return 0 if check["verdict"] == "pass" else 1
+    return 0 if fields["floer_check"]["verdict"] == "pass" else 1
 
 
 def _cmd_graph_homology(args) -> int:
@@ -278,27 +270,24 @@ def _census_names() -> List[str]:
     return sorted(names)
 
 
+# Member fields a census link entry leaves out of its golden file.
+_CENSUS_LINK_OMITS = ("multiplicity", "floer_euler", "total_check")
+
+
 def _census_report(doc: dict) -> dict:
     """Deterministic per-entry report; golden files hold its serialization."""
     d = GraphDiagram.from_json(doc)
     if d.is_link():
-        out: dict = {"kind": "link", "fingerprint": fingerprint(d).to_json()}
-        reduced = reduce_diagram(d)
-        dims = khovanov_homology(reduced, "z")
-        out["khovanov"] = dims.to_json()
-        out["khovanov_euler"] = graded_euler(dims).to_json()
-        out["jones_check"] = (
-            "pass" if graded_euler(dims) == unnormalized_jones(d) else "fail"
+        member = MemberReport(
+            fingerprint=fingerprint(d),
+            multiplicity=1,
+            **khovanov_fields(d),
+            **floer_fields(simplify_grid(pd_to_grid(d)), d),
         )
-        g = simplify_grid(pd_to_grid(d))
-        out["grid_size"] = g.n
-        if g.n <= 8:
-            hat = hat_from_grid(g)
-            out["floer"] = hat.to_json()
-            out["floer_check"] = euler_matches_skein(hat, d)
-            out["total_poincare"] = total_homology_from_grid(g).to_json()
-        else:
-            out["floer_skip"] = SKIP_GRID
+        out = member.to_json()
+        for key in _CENSUS_LINK_OMITS:
+            out.pop(key, None)
+        out["kind"] = "link"
         return out
     report = graph_homology(d)
     return {"kind": "graph", "graph_homology": report.to_json()}
@@ -377,13 +366,13 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("khovanov", help="Khovanov homology of a link")
     p.add_argument("path")
     p.add_argument("--coeffs", choices=["z", "f2"], default="z")
-    p.add_argument("--max-crossings", type=int, default=14)
+    p.add_argument("--max-crossings", type=int, default=KHOVANOV_CROSSING_CAP)
     p.add_argument("--check-euler", action="store_true")
     p.set_defaults(func=_cmd_khovanov)
 
     p = sub.add_parser("floer", help="grid homology of a link or grid diagram")
     p.add_argument("path")
-    p.add_argument("--max-grid", type=int, default=8)
+    p.add_argument("--max-grid", type=int, default=FLOER_GRID_CAP)
     p.set_defaults(func=_cmd_floer)
 
     p = sub.add_parser("graph-homology", help="family direct-sum homology report")
@@ -391,8 +380,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--floer", action="store_true")
     p.add_argument("--khovanov", action="store_true")
     p.add_argument("--coeffs", choices=["z", "f2"], default="z")
-    p.add_argument("--max-grid", type=int, default=8)
-    p.add_argument("--max-crossings", type=int, default=14)
+    p.add_argument("--max-grid", type=int, default=FLOER_GRID_CAP)
+    p.add_argument("--max-crossings", type=int, default=KHOVANOV_CROSSING_CAP)
     p.add_argument("--multiset", action="store_true")
     p.add_argument("--summary", action="store_true")
     p.add_argument("--jobs", type=int, default=1)

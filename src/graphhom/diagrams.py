@@ -28,6 +28,30 @@ Endpoint = Tuple[str, int, int]   # (kind "x"|"v", site index, slot)
 Dart = Endpoint
 
 
+def union_classes(elements: Iterable[int], pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
+    """Join the two elements of every pair; map each element to the
+    smallest element of its class, whatever order the pairs come in."""
+    # Every element's parent is no larger than itself, so each root is
+    # its class minimum and one ascending pass settles every element.
+    parent = {a: a for a in sorted(elements)}
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in pairs:
+        ru, rv = find(u), find(v)
+        if ru < rv:
+            parent[rv] = ru
+        elif rv < ru:
+            parent[ru] = rv
+    for a, p in parent.items():
+        parent[a] = parent[p]
+    return parent
+
+
 class GraphDiagram:
     __slots__ = ("crossings", "vertices", "loops", "heads")
 
@@ -152,23 +176,8 @@ class GraphDiagram:
 
     def strand_classes(self) -> Dict[int, int]:
         """Union arcs connected through crossings (not vertices)."""
-        parent: Dict[int, int] = {a: a for a in self.arc_ids()}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
-        for c in self.crossings:
-            union(c[0], c[2])
-            union(c[1], c[3])
-        return {a: find(a) for a in parent}
+        pairs = [(c[0], c[2]) for c in self.crossings] + [(c[1], c[3]) for c in self.crossings]
+        return union_classes(self.arc_ids(), pairs)
 
     def split_components(self) -> Tuple[int, Dict[int, int]]:
         """Closed-curve count and an arc -> component label map (links only)."""
@@ -218,33 +227,32 @@ class GraphDiagram:
         if sites == 0:
             return True
         narcs = len(self.arc_ids())
-        comps = self._site_components()
+        comps = len(self.site_components())
         return len(self.faces()) == narcs - sites + 1 + comps
 
-    def _site_components(self) -> int:
+    def site_components(self) -> List[List[Tuple[str, int]]]:
+        """Sites of each connected piece, pieces in order of their smallest
+        site with crossings before vertices; crossing-free loops have none."""
         ends = self.arc_endpoints()
         seen: set = set()
-        comps = 0
+        pieces: List[List[Tuple[str, int]]] = []
         all_sites = [("x", i) for i in range(len(self.crossings))] + [
             ("v", i) for i in range(len(self.vertices))
         ]
         for site in all_sites:
             if site in seen:
                 continue
-            comps += 1
-            stack = [site]
             seen.add(site)
-            while stack:
-                kind, i = stack.pop()
-                deg = self.site_degree(kind, i)
+            piece = [site]
+            for kind, i in piece:  # grows while it is walked
                 row = self.crossings[i] if kind == "x" else self.vertices[i]
-                for s in range(deg):
-                    e1, e2 = ends[row[s]]
-                    for k2, i2, _ in (e1, e2):
+                for a in row:
+                    for k2, i2, _ in ends[a]:
                         if (k2, i2) not in seen:
                             seen.add((k2, i2))
-                            stack.append((k2, i2))
-        return comps
+                            piece.append((k2, i2))
+            pieces.append(piece)
+        return pieces
 
     # -- symmetries ------------------------------------------------------------
 
@@ -421,31 +429,8 @@ class GraphDiagram:
         component, components sorted.  Preserves chirality (rotations are
         never reflected) and orientation."""
         ends = self.arc_endpoints()
-        sites_of_comp: List[List[Tuple[str, int]]] = []
-        seen: set = set()
-        all_sites = [("x", i) for i in range(len(self.crossings))] + [
-            ("v", i) for i in range(len(self.vertices))
-        ]
-        for site in all_sites:
-            if site in seen:
-                continue
-            comp = []
-            stack = [site]
-            seen.add(site)
-            while stack:
-                cur = stack.pop()
-                comp.append(cur)
-                kind, i = cur
-                row = self.crossings[i] if kind == "x" else self.vertices[i]
-                for a in row:
-                    for k2, i2, _ in ends[a]:
-                        if (k2, i2) not in seen:
-                            seen.add((k2, i2))
-                            stack.append((k2, i2))
-            sites_of_comp.append(comp)
-
         comp_keys = []
-        for comp in sites_of_comp:
+        for comp in self.site_components():
             starts = []
             for kind, i in comp:
                 deg = self.site_degree(kind, i)
@@ -494,9 +479,6 @@ class GraphDiagram:
             f"GraphDiagram(crossings={len(self.crossings)}, "
             f"vertices={len(self.vertices)}, loops={self.loops})"
         )
-
-
-LinkDiagram = GraphDiagram
 
 
 def disjoint_union(a: GraphDiagram, b: GraphDiagram) -> GraphDiagram:
@@ -573,27 +555,13 @@ def _splice_pairs(
     """
     c = d.crossings[i]
     ends = d.arc_endpoints()
-
-    label = {a: a for a in set(c)}
-
-    def find(a: int) -> int:
-        while label[a] != a:
-            label[a] = label[label[a]]
-            a = label[a]
-        return a
-
-    closed = 0
-    for su, sv in slot_pairs:
-        u, v = c[su], c[sv]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            closed += 1
-        else:
-            label[max(ru, rv)] = min(ru, rv)
-
+    pairs = [(c[su], c[sv]) for su, sv in slot_pairs]
+    label = union_classes(set(c), pairs)
     groups: Dict[int, List[int]] = {}
-    for a in label:
-        groups.setdefault(find(a), []).append(a)
+    for a, rep in label.items():
+        groups.setdefault(rep, []).append(a)
+    # a pair whose arcs are already joined closes a crossing-free circle
+    closed = len(pairs) - (len(label) - len(groups))
 
     def shift(e: Endpoint) -> Endpoint:
         kind, j, s = e

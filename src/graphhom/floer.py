@@ -30,7 +30,8 @@ from .invariants import alexander
 from .laurent import Laurent, T, U, UT, euler_substitute, exact_divide
 from .linalg import f2_is_zero, f2_mul, f2_rank
 
-DEFAULT_CAP = 8
+# Largest grid size whose n! generators are enumerated.
+FLOER_GRID_CAP = 8
 
 # Running totals of explicit d^2 = 0 matrix checks, mirroring the
 # Khovanov module's counter so test suites can assert coverage.
@@ -227,7 +228,7 @@ def _block_homology(
     return out
 
 
-def tilde_homology(g: GridDiagram, cap: int = DEFAULT_CAP) -> BigradedDims:
+def tilde_homology(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
     """Homology of the fully blocked rectangle complex, (M, A)-bigraded."""
     _require_cap(g.n, cap)
     gens, grads, edges = _complex(g, block_x=True)
@@ -240,7 +241,7 @@ def tilde_homology(g: GridDiagram, cap: int = DEFAULT_CAP) -> BigradedDims:
     return BigradedDims.of_ranks(table)
 
 
-def hat_from_grid(g: GridDiagram, cap: int = DEFAULT_CAP) -> BigradedDims:
+def hat_from_grid(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
     """Hat homology: tilde dims with the stabilization factors divided out."""
     tilde = tilde_homology(g, cap)
     power = g.n - g.component_count()
@@ -250,12 +251,12 @@ def hat_from_grid(g: GridDiagram, cap: int = DEFAULT_CAP) -> BigradedDims:
     return BigradedDims.of_ranks(dict(quotient.terms))
 
 
-def hfk_hat(d: GraphDiagram, cap: int = DEFAULT_CAP) -> BigradedDims:
+def hfk_hat(d: GraphDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
     """Hat homology of a link diagram via grid conversion and cleanup."""
     return hat_from_grid(simplify_grid(pd_to_grid(d)), cap)
 
 
-def total_homology_from_grid(g: GridDiagram, cap: int = DEFAULT_CAP) -> Laurent:
+def total_homology_from_grid(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> Laurent:
     """Poincare polynomial in u of the total homology.
 
     Only the O markers block rectangles, so the Alexander axis
@@ -275,7 +276,7 @@ def total_homology_from_grid(g: GridDiagram, cap: int = DEFAULT_CAP) -> Laurent:
     return exact_divide(poly, _W_TOTAL ** power, require_nonnegative=True)
 
 
-def total_homology(d: GraphDiagram, cap: int = DEFAULT_CAP) -> Laurent:
+def total_homology(d: GraphDiagram, cap: int = FLOER_GRID_CAP) -> Laurent:
     return total_homology_from_grid(simplify_grid(pd_to_grid(d)), cap)
 
 

@@ -18,20 +18,18 @@ from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
 from .errors import CapExceeded
 from .floer import (
+    FLOER_GRID_CAP,
     euler_matches_skein,
     hat_euler,
     hat_from_grid,
     skein_euler_target,
     total_homology_from_grid,
 )
-from .grid import pd_to_grid, simplify_grid
+from .grid import GridDiagram, pd_to_grid, simplify_grid
 from .invariants import Fingerprint, alexander, reduce_diagram
 from .kauffman import LinkFamily, family
-from .khovanov import graded_euler, khovanov_homology, unnormalized_jones
+from .khovanov import KHOVANOV_CROSSING_CAP, graded_euler, khovanov_homology, unnormalized_jones
 from .laurent import Laurent, Q, T, U
-
-FLOER_GRID_CAP = 8
-KHOVANOV_CROSSING_CAP = 14
 
 SKIP_GRID = "floer: skipped (grid too large)"
 SKIP_CROSSINGS = "khovanov: skipped (too many crossings)"
@@ -121,18 +119,19 @@ def _weight(member_multiplicity: int, multiset: bool) -> int:
 
 
 def _weighted(dims: BigradedDims, weight: int) -> BigradedDims:
-    out = BigradedDims({})
-    for _ in range(weight):
-        out = out.add(dims)
-    return out
+    """The direct sum of ``weight`` copies of ``dims``."""
+    return BigradedDims({k: (r * weight, t * weight) for k, (r, t) in dims.dims.items()})
 
 
 def _expected_total(ell: int) -> Laurent:
     return Laurent(U, {(1,): 1, (-1,): 1}) ** (ell - 1)
 
 
-def _floer_member(diagram: GraphDiagram, fp: Fingerprint, cap: int) -> dict:
-    grid = simplify_grid(pd_to_grid(diagram))
+def floer_fields(grid: GridDiagram, diagram: GraphDiagram, cap: int = FLOER_GRID_CAP) -> dict:
+    """Hat and total homology of ``grid``, a simplified grid presenting the
+    link ``diagram``, each checked against what the link predicts: the hat
+    Euler characteristic against the skein polynomial, the total homology
+    against (u^1/2 + u^-1/2)^(l-1).  A grid over ``cap`` gets a skip reason."""
     fields: dict = {"grid_size": grid.n}
     if grid.n > cap:
         fields["floer_skip"] = SKIP_GRID
@@ -144,12 +143,17 @@ def _floer_member(diagram: GraphDiagram, fp: Fingerprint, cap: int) -> dict:
     fields["floer_check"] = euler_matches_skein(hat, diagram)
     fields["total_poincare"] = total
     fields["total_check"] = (
-        "pass" if total == _expected_total(fp.components) else "fail"
+        "pass" if total == _expected_total(grid.component_count()) else "fail"
     )
     return fields
 
 
-def _khovanov_member(diagram: GraphDiagram, coeffs: str, cap: int) -> dict:
+def khovanov_fields(
+    diagram: GraphDiagram, coeffs: str = "z", cap: int = KHOVANOV_CROSSING_CAP
+) -> dict:
+    """Khovanov homology of the reduced link diagram with its graded Euler
+    characteristic checked against the Jones polynomial of ``diagram``.  A
+    reduced diagram over ``cap`` crossings gets a skip reason."""
     reduced = reduce_diagram(diagram)
     if len(reduced.crossings) > cap:
         return {"khovanov_skip": SKIP_CROSSINGS}
@@ -169,9 +173,10 @@ def _member_fields(
 ) -> dict:
     fields: dict = {}
     if floer:
-        fields.update(_floer_member(fm.diagram, fm.fingerprint, grid_cap))
+        grid = simplify_grid(pd_to_grid(fm.diagram))
+        fields.update(floer_fields(grid, fm.diagram, grid_cap))
     if khovanov:
-        fields.update(_khovanov_member(fm.diagram, coeffs, crossing_cap))
+        fields.update(khovanov_fields(fm.diagram, coeffs, crossing_cap))
     return fields
 
 

@@ -17,12 +17,11 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import braid_closure
-from .diagrams import Dart, GraphDiagram
+from .diagrams import Dart, GraphDiagram, union_classes
 from .errors import InvalidDiagram, RoutingFailure
 from .invariants import fingerprint, reduce_diagram
+from .khovanov import KHOVANOV_CROSSING_CAP
 from .moves import _r2_insert, crossing_from_compass
-
-_VERIFY_CAP = 14
 
 
 def link_evidence(d: GraphDiagram) -> Tuple:
@@ -344,24 +343,15 @@ def grid_to_diagram(g: GridDiagram) -> GraphDiagram:
 
 
 def seifert_classes(d: GraphDiagram) -> Dict[int, int]:
-    """Arc -> circle label after smoothing every crossing along orientation."""
-    parent = {a: a for a in d.arc_ids()}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i in range(len(d.crossings)):
-        c = d.crossings[i]
-        pairs = ((c[0], c[1]), (c[2], c[3])) if d.crossing_sign(i) > 0 else (
-            (c[0], c[3]),
-            (c[1], c[2]),
-        )
-        for a, b in pairs:
-            parent[find(a)] = find(b)
-    return {a: find(a) for a in parent}
+    """Arc -> circle label (its smallest arc) after smoothing every
+    crossing along orientation."""
+    pairs = []
+    for i, c in enumerate(d.crossings):
+        if d.crossing_sign(i) > 0:
+            pairs += ((c[0], c[1]), (c[2], c[3]))
+        else:
+            pairs += ((c[0], c[3]), (c[1], c[2]))
+    return union_classes(d.arc_ids(), pairs)
 
 
 def _dart_sense(d: GraphDiagram, dart: Dart) -> bool:
@@ -516,24 +506,9 @@ def braid_to_grid(word: Sequence[int], strands: int) -> GridDiagram:
 
 
 def _connected_pieces(d: GraphDiagram) -> List[GraphDiagram]:
-    ends = d.arc_endpoints()
-    assigned: Dict[int, int] = {}
-    for i in range(len(d.crossings)):
-        if i in assigned:
-            continue
-        group = len(set(assigned.values()))
-        stack = [i]
-        assigned[i] = group
-        while stack:
-            j = stack.pop()
-            for a in d.crossings[j]:
-                for kind, k, _ in ends[a]:
-                    if kind == "x" and k not in assigned:
-                        assigned[k] = group
-                        stack.append(k)
     pieces = []
-    for group in sorted(set(assigned.values())):
-        members = [i for i in sorted(assigned) if assigned[i] == group]
+    for sites in d.site_components():
+        members = sorted(i for _, i in sites)
         arcs = sorted({a for i in members for a in d.crossings[i]})
         arc_map = {a: k for k, a in enumerate(arcs)}
         site_map = {i: k for k, i in enumerate(members)}
@@ -550,7 +525,9 @@ def pd_to_grid(d: GraphDiagram) -> GridDiagram:
     """Grid presentation of the oriented link: reduce, braid pieces, stack blocks.
 
     Piece words short enough to afford a bracket computation are checked
-    against the input by fingerprint before use.
+    against the input by fingerprint before use: a bracket over 2^c
+    smoothing states costs what a Khovanov cube of c crossings does, so
+    the Khovanov crossing cap bounds the word length checked.
     """
     if not d.is_link():
         raise InvalidDiagram(["grid conversion expects a link diagram"])
@@ -558,7 +535,7 @@ def pd_to_grid(d: GraphDiagram) -> GridDiagram:
     grids = []
     for piece in _connected_pieces(d):
         word, strands = braid_word(piece)
-        if len(word) <= _VERIFY_CAP:
+        if len(word) <= KHOVANOV_CROSSING_CAP:
             if link_evidence(braid_closure(word, strands)) != link_evidence(piece):
                 raise RoutingFailure("extracted braid closure presents a different link")
         grids.append(braid_to_grid(word, strands))

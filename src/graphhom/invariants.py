@@ -9,9 +9,9 @@ on the diagram plumbing.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from .diagrams import GraphDiagram, splice_crossing, _splice_pairs
+from .diagrams import GraphDiagram, _splice_pairs, splice_crossing, union_classes
 from .errors import CapExceeded, InvalidDiagram
 from .laurent import Laurent, T, Z, conway_to_alexander, normalize_alexander
 from .linalg import smith_invariant_factors
@@ -21,41 +21,32 @@ A = ("A",)
 DELTA = Laurent(A, {(4,): -1, (-4,): -1})  # circle value -A^2 - A^-2
 
 
-def kauffman_bracket(d: GraphDiagram, cap: int = 24) -> Laurent:
-    """State sum over all smoothings; unoriented, unnormalized, <o> = 1.
+def smoothing_circles(d: GraphDiagram) -> Iterator[Dict[int, int]]:
+    """Arc -> circle label (the circle's smallest arc) for each smoothing
+    state s = 0 .. 2^c - 1 in turn.  Bit i of s set gives crossing i its
+    B-smoothing (slots 0-3 and 1-2), clear its A-smoothing (0-1 and 2-3).
+    Crossing-free circles carry no arcs and do not appear."""
+    arcs = d.arc_ids()
+    for state in range(1 << len(d.crossings)):
+        pairs = []
+        for i, c in enumerate(d.crossings):
+            if state >> i & 1:
+                pairs += ((c[0], c[3]), (c[1], c[2]))
+            else:
+                pairs += ((c[0], c[1]), (c[2], c[3]))
+        yield union_classes(arcs, pairs)
 
-    The A-smoothing joins slots 0-1 and 2-3, the B-smoothing 0-3 and 1-2.
-    """
+
+def kauffman_bracket(d: GraphDiagram, cap: int = 24) -> Laurent:
+    """State sum over all smoothings; unoriented, unnormalized, <o> = 1."""
     if not d.is_link():
         raise InvalidDiagram(["bracket is defined for link diagrams"])
     c = len(d.crossings)
     if c > cap:
         raise CapExceeded(f"bracket state sum over {c} crossings exceeds cap {cap}")
-    arcs = d.arc_ids()
-    index = {a: k for k, a in enumerate(arcs)}
     out = Laurent.zero(A)
-    for state in range(1 << c):
-        parent = list(range(len(arcs)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        circles = 0
-        for i, cr in enumerate(d.crossings):
-            if state >> i & 1:  # B-smoothing
-                pairs = ((cr[0], cr[3]), (cr[1], cr[2]))
-            else:
-                pairs = ((cr[0], cr[1]), (cr[2], cr[3]))
-            for u, v in pairs:
-                ru, rv = find(index[u]), find(index[v])
-                if ru == rv:
-                    circles += 1
-                else:
-                    parent[ru] = rv
-        circles += d.loops
+    for state, circle in enumerate(smoothing_circles(d)):
+        circles = len(set(circle.values())) + d.loops
         b = bin(state).count("1")
         sigma = (c - b) - b
         term = Laurent.term(A, (2 * sigma,)) * DELTA ** (circles - 1)
@@ -111,8 +102,7 @@ def reduce_diagram(d: GraphDiagram) -> GraphDiagram:
 # -- skein recursion ----------------------------------------------------------
 
 def _is_split(d: GraphDiagram) -> bool:
-    pieces = d._site_components() + d.loops
-    return pieces > 1
+    return len(d.site_components()) + d.loops > 1
 
 
 def _first_bad_crossing(d: GraphDiagram) -> Optional[int]:
@@ -213,27 +203,14 @@ def determinant(d: GraphDiagram) -> int:
         return 1 if d.loops == 1 else 0
     if _is_split(d):
         return 0
-    arcs = d.arc_ids()
-    parent = {a: a for a in arcs}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for c in d.crossings:
-        ru, rv = find(c[1]), find(c[3])
-        if ru != rv:
-            parent[ru] = rv
-    classes = sorted({find(a) for a in arcs})
-    col = {cls: k for k, cls in enumerate(classes)}
+    over = union_classes(d.arc_ids(), [(c[1], c[3]) for c in d.crossings])
+    col = {cls: k for k, cls in enumerate(sorted(set(over.values())))}
     rows = []
     for c in d.crossings:
-        row = [0] * len(classes)
-        row[col[find(c[1])]] += 2
-        row[col[find(c[0])]] -= 1
-        row[col[find(c[2])]] -= 1
+        row = [0] * len(col)
+        row[col[over[c[1]]]] += 2
+        row[col[over[c[0]]]] -= 1
+        row[col[over[c[2]]]] -= 1
         rows.append(row)
     minor = [row[1:] for row in rows[1:]]
     if not minor or not minor[0]:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import comb, prod
 from typing import Dict, List, Optional, Tuple
 
-from .diagrams import GraphDiagram
+from .diagrams import GraphDiagram, union_classes
 from .errors import CapExceeded, InvalidDiagram
 from .invariants import Fingerprint, fingerprint, reduce_diagram
 
@@ -74,35 +74,21 @@ def apply_replacement(g: GraphDiagram, choice: ReplacementChoice) -> GraphDiagra
         return (arc, e2 if e == e1 else e1)
 
     # strands: arcs joined through crossing passages and chosen pairs
-    parent: Dict[int, int] = {a: a for a in ends}
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for c in g.crossings:
-        union(c[0], c[2])
-        union(c[1], c[3])
+    pairs = [(c[0], c[2]) for c in g.crossings] + [(c[1], c[3]) for c in g.crossings]
     for vi, pair in choice.items():
         if pair is not None:
-            union(g.vertices[vi][pair[0]], g.vertices[vi][pair[1]])
+            pairs.append((g.vertices[vi][pair[0]], g.vertices[vi][pair[1]]))
+    strand = union_classes(ends, pairs)
 
     open_roots = set()
     for vi, v in enumerate(g.vertices):
         pair = choice[vi] or ()
         for s, arc in enumerate(v):
             if s not in pair:
-                open_roots.add(find(arc))
+                open_roots.add(strand[arc])
 
     def closed(arc: int) -> bool:
-        return find(arc) not in open_roots
+        return strand[arc] not in open_roots
 
     junction: Dict[_End, _End] = {}
 
@@ -205,12 +191,6 @@ class LinkFamily:
     source: GraphDiagram
     assignments: int
     members: Tuple[FamilyMember, ...]
-
-    def fingerprints(self) -> List[Fingerprint]:
-        return [m.fingerprint for m in self.members]
-
-    def multiset(self) -> List[Tuple[Fingerprint, int]]:
-        return [(m.fingerprint, m.multiplicity) for m in self.members]
 
     def to_json(self) -> dict:
         return {

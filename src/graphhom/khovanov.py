@@ -26,36 +26,16 @@ from typing import Dict, Iterator, List, Tuple
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
 from .errors import CapExceeded, InvalidDiagram
-from .invariants import jones, reduce_diagram
+from .invariants import jones, smoothing_circles
 from .laurent import Laurent, Q
 from .linalg import f2_is_zero, f2_mul, f2_rank, int_is_zero, int_mul, smith_invariant_factors
+
+# Most crossings a resolution cube (2^c states) is built over.
+KHOVANOV_CROSSING_CAP = 14
 
 # Running tallies of composition checks, readable by tests: every chain
 # complex assembled here verifies d∘d = 0 and records the outcome.
 D2_CHECKS = {"complexes": 0, "failures": 0}
-
-
-def _circle_map(d: GraphDiagram, state: int) -> Dict[int, int]:
-    """Map each arc to its circle id (minimal arc in the class) in the
-    given smoothing state; crossing-free circles are not included."""
-    parent = {a: a for a in d.arc_ids()}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for i, c in enumerate(d.crossings):
-        if state >> i & 1:
-            pairs = ((c[0], c[3]), (c[1], c[2]))
-        else:
-            pairs = ((c[0], c[1]), (c[2], c[3]))
-        for u, v in pairs:
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                parent[max(ru, rv)] = min(ru, rv)
-    return {a: find(a) for a in parent}
 
 
 @dataclass(frozen=True)
@@ -64,13 +44,16 @@ class ResolutionCube:
 
     ``circles[s]`` lists the circle ids of state ``s`` in sorted order;
     crossing-free components of the diagram appear in every state as
-    negative ids.  Writhe shifts are captured by ``n_plus``/``n_minus``.
+    negative ids.  ``arc_circle[s]`` maps each arc to its circle id (the
+    circle's smallest arc) in state ``s``.  Writhe shifts are captured by
+    ``n_plus``/``n_minus``.
     """
 
     diagram: GraphDiagram
     n_plus: int
     n_minus: int
     circles: Tuple[Tuple[int, ...], ...]
+    arc_circle: Tuple[Dict[int, int], ...]
 
     def circle_count(self, state: int) -> int:
         return len(self.circles[state])
@@ -86,7 +69,7 @@ class ResolutionCube:
                     yield s, k, sign
 
 
-def build_cube(d: GraphDiagram, cap: int = 14) -> ResolutionCube:
+def build_cube(d: GraphDiagram, cap: int = KHOVANOV_CROSSING_CAP) -> ResolutionCube:
     if not d.is_link():
         raise InvalidDiagram(["resolution cube is defined for link diagrams"])
     c = len(d.crossings)
@@ -94,11 +77,9 @@ def build_cube(d: GraphDiagram, cap: int = 14) -> ResolutionCube:
         raise CapExceeded(f"resolution cube over {c} crossings exceeds cap {cap}")
     n_plus, n_minus = d.positive_negative() if c else (0, 0)
     free = tuple(-(k + 1) for k in range(d.loops))
-    circles = []
-    for s in range(1 << c):
-        m = _circle_map(d, s)
-        circles.append(tuple(sorted(set(m.values()) | set(free))))
-    return ResolutionCube(d, n_plus, n_minus, tuple(circles))
+    arc_circle = tuple(smoothing_circles(d))
+    circles = tuple(tuple(sorted(set(m.values()) | set(free))) for m in arc_circle)
+    return ResolutionCube(d, n_plus, n_minus, circles, arc_circle)
 
 
 def _coeff_tag(coeffs: str) -> str:
@@ -108,7 +89,9 @@ def _coeff_tag(coeffs: str) -> str:
     return tag
 
 
-def khovanov_homology(d: GraphDiagram, coeffs: str = "z", cap: int = 14) -> BigradedDims:
+def khovanov_homology(
+    d: GraphDiagram, coeffs: str = "z", cap: int = KHOVANOV_CROSSING_CAP
+) -> BigradedDims:
     """Bigraded homology of the resolution cube; keys are (2i, 2j).
 
     Over Z the table carries free ranks and torsion orders from Smith
@@ -134,66 +117,56 @@ def khovanov_homology(d: GraphDiagram, coeffs: str = "z", cap: int = 14) -> Bigr
             box.append((s, mask))
 
     # Differential entries grouped by source block.
+    positions = [{cid: b for b, cid in enumerate(circles)} for circles in cube.circles]
     entries: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
-    for s in range(1 << nc):
+    for s, k, sign in cube.edges():
+        t = s | (1 << k)
         r = bin(s).count("1")
-        src_circles = cube.circles[s]
-        src_pos = {cid: b for b, cid in enumerate(src_circles)}
-        maps = _circle_map(d, s)
-        for k in range(nc):
-            if s >> k & 1:
-                continue
-            t = s | (1 << k)
-            low = s & ((1 << k) - 1)
-            sign = -1 if bin(low).count("1") % 2 else 1
-            mapt = _circle_map(d, t)
-            tgt_circles = cube.circles[t]
-            tgt_pos = {cid: b for b, cid in enumerate(tgt_circles)}
-            cr = d.crossings[k]
-            srcs = sorted({maps[a] for a in cr})
-            tgts = sorted({mapt[a] for a in cr})
-            spectators = [cid for cid in src_circles if cid not in srcs]
+        src_circles, tgt_circles = cube.circles[s], cube.circles[t]
+        src_pos, tgt_pos = positions[s], positions[t]
+        cr = d.crossings[k]
+        srcs = sorted({cube.arc_circle[s][a] for a in cr})
+        tgts = sorted({cube.arc_circle[t][a] for a in cr})
+        spectators = [cid for cid in src_circles if cid not in srcs]
 
-            for mask in range(1 << len(src_circles)):
-                base = 0
-                for cid in spectators:
-                    if mask >> src_pos[cid] & 1:
-                        base |= 1 << tgt_pos[cid]
-                col = position[(s, mask)]
-                j2 = 2 * (
-                    len(src_circles) - 2 * bin(mask).count("1") + r + shift
-                )
-                outs: List[int] = []
-                if len(srcs) == 2 and len(tgts) == 1:
-                    xu = mask >> src_pos[srcs[0]] & 1
-                    xv = mask >> src_pos[srcs[1]] & 1
-                    if not (xu and xv):  # x.x multiplies to zero
-                        out = base
-                        if xu or xv:
-                            out |= 1 << tgt_pos[tgts[0]]
-                        outs.append(out)
-                elif len(srcs) == 1 and len(tgts) == 2:
-                    xu = mask >> src_pos[srcs[0]] & 1
-                    b1, b2 = (1 << tgt_pos[tgts[0]]), (1 << tgt_pos[tgts[1]])
-                    if xu:
-                        outs.append(base | b1 | b2)
-                    else:
-                        outs.append(base | b1)
-                        outs.append(base | b2)
+        for mask in range(1 << len(src_circles)):
+            base = 0
+            for cid in spectators:
+                if mask >> src_pos[cid] & 1:
+                    base |= 1 << tgt_pos[cid]
+            col = position[(s, mask)]
+            j2 = 2 * (len(src_circles) - 2 * bin(mask).count("1") + r + shift)
+            outs: List[int] = []
+            if len(srcs) == 2 and len(tgts) == 1:
+                xu = mask >> src_pos[srcs[0]] & 1
+                xv = mask >> src_pos[srcs[1]] & 1
+                if not (xu and xv):  # x.x multiplies to zero
+                    out = base
+                    if xu or xv:
+                        out |= 1 << tgt_pos[tgts[0]]
+                    outs.append(out)
+            elif len(srcs) == 1 and len(tgts) == 2:
+                xu = mask >> src_pos[srcs[0]] & 1
+                b1, b2 = (1 << tgt_pos[tgts[0]]), (1 << tgt_pos[tgts[1]])
+                if xu:
+                    outs.append(base | b1 | b2)
                 else:
-                    raise InvalidDiagram(
-                        [f"smoothing change at crossing {k} is neither merge nor split"]
-                    )
-                j2_t = 2 * (
-                    len(tgt_circles) - 2 * bin(outs[0]).count("1") + (r + 1) + shift
-                ) if outs else j2
-                if outs and j2_t != j2:
-                    raise InvalidDiagram(
-                        [f"differential broke the quantum grading at crossing {k}"]
-                    )
-                for out in outs:
-                    row = position[(t, out)]
-                    entries.setdefault((r, j2), []).append((row, col, sign))
+                    outs.append(base | b1)
+                    outs.append(base | b2)
+            else:
+                raise InvalidDiagram(
+                    [f"smoothing change at crossing {k} is neither merge nor split"]
+                )
+            j2_t = 2 * (
+                len(tgt_circles) - 2 * bin(outs[0]).count("1") + (r + 1) + shift
+            ) if outs else j2
+            if outs and j2_t != j2:
+                raise InvalidDiagram(
+                    [f"differential broke the quantum grading at crossing {k}"]
+                )
+            for out in outs:
+                row = position[(t, out)]
+                entries.setdefault((r, j2), []).append((row, col, sign))
 
     # Assemble per-(i, j) matrices and take homology block by block.
     out: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
@@ -277,23 +250,3 @@ def unnormalized_jones(d: GraphDiagram, cap: int = 24) -> Laurent:
         terms[(2 * m,)] = terms.get((2 * m,), 0) + sign * coeff
     circle = Laurent(Q, {(2,): 1, (-2,): 1})
     return Laurent(Q, terms) * circle
-
-
-def kkh_family(fam, coeffs: str = "z", cap: int = 14) -> BigradedDims:
-    """Direct sum of Khovanov homologies over a link family's distinct
-    members; raises CapExceeded with the completed prefix on a breach."""
-    tag = _coeff_tag(coeffs)
-    total = BigradedDims({})
-    completed: List[int] = []
-    for idx, member in enumerate(fam.members):
-        dd = reduce_diagram(member.diagram)
-        n = len(dd.crossings)
-        if n > cap:
-            raise CapExceeded(
-                f"family member {idx} has {n} crossings after reduction, over cap "
-                f"{cap}; completed members: {completed}",
-                detail={"completed": completed, "partial": total},
-            )
-        total = total.add(khovanov_homology(dd, tag, cap))
-        completed.append(idx)
-    return total

@@ -49,10 +49,6 @@ class Laurent:
     def term(cls, variables: Tuple[str, ...], doubled_exponents: Monomial, coeff: int = 1) -> "Laurent":
         return cls(variables, {tuple(doubled_exponents): coeff})
 
-    @classmethod
-    def const(cls, variables: Tuple[str, ...], value: int) -> "Laurent":
-        return cls(variables, {(0,) * len(variables): value})
-
     # -- ring operations ---------------------------------------------------
 
     def _check(self, other: "Laurent") -> None:
@@ -127,9 +123,6 @@ class Laurent:
             raise ValueError("zero polynomial has no degree span")
         exps = [e[axis] for e in self.terms]
         return min(exps), max(exps)
-
-    def coeff_sum_abs(self) -> int:
-        return sum(abs(c) for c in self.terms.values())
 
     def evaluate(self, values: Tuple[Fraction, ...]) -> Fraction:
         """Evaluate at rational points given per variable.

@@ -1,6 +1,7 @@
 """Diagram encoding, validation, connectivity, faces, and canonical keys."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from graphhom import catalog
 from graphhom.diagrams import (
@@ -8,6 +9,7 @@ from graphhom.diagrams import (
     connected_sum,
     disjoint_union,
     splice_crossing,
+    union_classes,
 )
 from graphhom.errors import InvalidDiagram
 
@@ -197,3 +199,35 @@ def test_orientation_solver_respects_overrides():
     flipped = plain.reverse()
     blob = flipped.to_json()
     assert GraphDiagram.from_json(blob).canonical_key() == flipped.canonical_key()
+
+
+pair_lists = st.lists(
+    st.tuples(st.integers(min_value=0, max_value=11), st.integers(min_value=0, max_value=11)),
+    max_size=20,
+)
+
+
+@given(pair_lists.flatmap(lambda ps: st.tuples(st.just(ps), st.permutations(ps))))
+def test_union_classes_label_is_class_minimum(pairs_and_order):
+    pairs, reordered = pairs_and_order
+    classes = [{a} for a in range(12)]
+    for u, v in pairs:
+        cu = next(c for c in classes if u in c)
+        cv = next(c for c in classes if v in c)
+        if cu is not cv:
+            cu |= cv
+            classes.remove(cv)
+    want = {a: min(c) for c in classes for a in c}
+    assert union_classes(range(12), pairs) == want
+    assert union_classes(reversed(range(12)), reordered) == want
+    assert union_classes(range(12), [(v, u) for u, v in reordered]) == want
+
+
+def test_site_components_order():
+    links = disjoint_union(catalog.trefoil_right(), catalog.hopf_positive())
+    d = disjoint_union(catalog.theta(), links)
+    trefoil = [("x", i) for i in range(3)]
+    hopf = [("x", 3), ("x", 4)]
+    theta = [("v", 0), ("v", 1)]
+    assert [sorted(p) for p in d.site_components()] == [trefoil, hopf, theta]
+    assert catalog.unlink(2).site_components() == []

@@ -2,11 +2,13 @@
 
 import pytest
 
+from graphhom.bigraded import BigradedDims
 from graphhom.catalog import handcuff, hopf_handcuff, theta, trefoil_right
 from graphhom.diagrams import GraphDiagram
 from graphhom.graph_homology import (
     SKIP_CROSSINGS,
     SKIP_GRID,
+    _weighted,
     euler_check,
     graph_homology,
     hfg,
@@ -78,6 +80,16 @@ def test_multiset_weights_by_multiplicity():
     )
     assert weighted.aggregate_floer.total_rank() == expected
     assert weighted.aggregate_floer.total_rank() >= plain.aggregate_floer.total_rank()
+
+
+def test_weighted_equals_repeated_direct_sum():
+    dims = BigradedDims({(0, 2): (1, (2,)), (2, 6): (0, (3, 2)), (-2, 0): (2, ())})
+    for weight in (1, 2, 5):
+        summed = BigradedDims({})
+        for _ in range(weight):
+            summed = summed.add(dims)
+        assert _weighted(dims, weight) == summed
+        assert _weighted(dims, weight).to_json() == summed.to_json()
 
 
 def test_floer_skip_degrades_verdict_to_partial():

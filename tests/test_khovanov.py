@@ -17,13 +17,12 @@ from graphhom.catalog import (
     unlink,
 )
 from graphhom.errors import CapExceeded, InvalidDiagram
-from graphhom.kauffman import family
+from graphhom.graph_homology import SKIP_CROSSINGS, graph_homology
 from graphhom.khovanov import (
     D2_CHECKS,
     build_cube,
     graded_euler,
     khovanov_homology,
-    kkh_family,
     unnormalized_jones,
 )
 from graphhom.moves import random_move_sequence
@@ -209,9 +208,9 @@ def test_khovanov_integral_invariance_small():
 # -- families -------------------------------------------------------------------
 
 def test_kkh_family_direct_sum():
-    fam = family(hopf_handcuff())
+    report = graph_homology(hopf_handcuff(), floer=False)
     # Members: one negative Hopf link and one unknot.
-    kkh = kkh_family(fam)
+    kkh = report.aggregate_khovanov
     hopf = khovanov_homology(hopf_negative())
     unk = khovanov_homology(unknot())
     assert kkh.dims == hopf.add(unk).dims
@@ -219,11 +218,14 @@ def test_kkh_family_direct_sum():
 
 
 def test_kkh_family_cap_reports_completed():
-    fam = family(hopf_handcuff())
-    with pytest.raises(CapExceeded) as info:
-        kkh_family(fam, cap=1)
-    assert "completed members" in str(info.value)
-    assert info.value.detail is not None and "completed" in info.value.detail
+    report = graph_homology(hopf_handcuff(), floer=False, crossing_cap=1)
+    skipped = [m for m in report.members if m.khovanov_skip]
+    completed = [m for m in report.members if m.khovanov is not None]
+    assert [m.khovanov_skip for m in skipped] == [SKIP_CROSSINGS]
+    assert skipped[0].fingerprint.components == 2 and skipped[0].khovanov is None
+    assert [m.khovanov.dims for m in completed] == [khovanov_homology(unknot()).dims]
+    assert report.aggregate_khovanov.dims == khovanov_homology(unknot()).dims
+    assert report.verdicts == {"khovanov_euler": "partial"}
 
 
 def test_d2_counter_advances():
