@@ -26,7 +26,7 @@ from .floer import FLOER_GRID_CAP
 from .graph_homology import MemberReport, floer_fields, graph_homology, khovanov_fields
 from .grid import GridDiagram, grid_to_diagram, pd_to_grid, simplify_grid
 from .invariants import conway, determinant, fingerprint, reduce_diagram
-from .kauffman import family
+from .kauffman import FAMILY_ASSIGNMENT_CAP, family
 from .khovanov import KHOVANOV_CROSSING_CAP
 from .moves import random_move_sequence
 
@@ -356,7 +356,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="enumerate the link family of a graph")
     p.add_argument("path")
-    p.add_argument("--max-assignments", type=int, default=10**6)
+    p.add_argument("--max-assignments", type=int, default=FAMILY_ASSIGNMENT_CAP)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("invariants", help="classical polynomial invariants of a link")

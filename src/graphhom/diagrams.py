@@ -322,6 +322,8 @@ class GraphDiagram:
 
     @classmethod
     def from_json(cls, data: Dict) -> "GraphDiagram":
+        if not isinstance(data, dict):
+            raise InvalidDiagram([f"diagram JSON must be an object, not {type(data).__name__}"])
         try:
             crossings = [tuple(int(a) for a in c) for c in data.get("crossings", [])]
             vertices = [tuple(int(a) for a in v) for v in data.get("vertices", [])]
@@ -329,7 +331,7 @@ class GraphDiagram:
             orientations = {
                 int(a): int(s) for a, s in (data.get("orientations") or {}).items()
             }
-        except (TypeError, ValueError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDiagram([f"malformed diagram JSON: {exc}"])
         return cls.from_pd(crossings, vertices, loops, orientations)
 

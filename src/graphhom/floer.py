@@ -14,13 +14,16 @@ shifted by (l-1)/2 and the Alexander grading is centered with (n-l)/2,
 so mirror duality and the disjoint-union rank-two factor hold on the
 nose.  For knots both agree with the usual formulas.  All gradings are
 stored doubled.
+
+Homology, with its d^2 = 0 check, is taken by ``linalg.block_homology``,
+the routine the Khovanov complex also goes through.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
@@ -28,14 +31,10 @@ from .errors import CapExceeded
 from .grid import GridDiagram, pd_to_grid, simplify_grid
 from .invariants import alexander
 from .laurent import Laurent, T, U, UT, euler_substitute, exact_divide
-from .linalg import f2_is_zero, f2_mul, f2_rank
+from .linalg import block_homology
 
 # Largest grid size whose n! generators are enumerated.
 FLOER_GRID_CAP = 8
-
-# Running totals of explicit d^2 = 0 matrix checks, mirroring the
-# Khovanov module's counter so test suites can assert coverage.
-D2_CHECKS = {"complexes": 0, "failures": 0}
 
 # Rank-two factor split off per stabilization level: hat version keeps
 # both gradings, total homology only the Maslov axis.
@@ -108,26 +107,16 @@ def _cell_masks(n: int, cols: Sequence[int]) -> List[List[int]]:
     return masks
 
 
-def _col_masks(n: int) -> List[List[int]]:
-    """masks[a][K] = bits of the K cell columns a..a+K-1 mod n."""
-    masks = []
-    for a in range(n):
-        row = [0]
-        acc = 0
-        for step in range(1, n + 1):
-            acc |= 1 << ((a + step - 1) % n)
-            row.append(acc)
-        masks.append(row)
-    return masks
-
-
 def _complex(g: GridDiagram, block_x: bool):
-    """Generators, doubled gradings, and mod-2 rectangle edges.
+    """Doubled gradings of the generators and their rectangle edges.
 
     Each unordered generator pair differing by a transposition spans
     four torus rectangles; the two whose ascending row and column
     intervals start at points of x go from x.  A rectangle counts when
-    it avoids the blocked markers and every other generator point.
+    it avoids the blocked markers and every other generator point.  The
+    edges come lazily as generator indices (i, j, 1), one per empty
+    rectangle, so a pair joined by two rectangles cancels mod 2 where
+    ``linalg.block_homology`` sums them.
     """
     n = g.n
     xpts = _marker_points(g.X)
@@ -137,7 +126,6 @@ def _complex(g: GridDiagram, block_x: bool):
     ell = g.component_count()
 
     gens = list(permutations(range(n)))
-    gidx = {x: i for i, x in enumerate(gens)}
     grads = [
         _gradings_inner(n, ell, _generator_points(x), xpts, opts, i_xx, i_oo)
         for x in gens
@@ -149,12 +137,14 @@ def _complex(g: GridDiagram, block_x: bool):
         blocked = [
             [bo | bx for bo, bx in zip(ro, rx)] for ro, rx in zip(blocked, xmasks)
         ]
-    cols = _col_masks(n)
+    return grads, _rectangles(n, gens, blocked)
 
-    parity: Dict[Tuple[int, int], int] = {}
+
+def _rectangles(n: int, gens: List[Tuple[int, ...]], blocked: List[List[int]]):
+    cols = _cell_masks(n, range(n))
+    gidx = {x: i for i, x in enumerate(gens)}
     pairs = [(r1, r2) for r1 in range(n) for r2 in range(r1 + 1, n)]
     for ix, x in enumerate(gens):
-        m2x, a2x = grads[ix]
         for r1, r2 in pairs:
             y = list(x)
             y[r1], y[r2] = y[r2], y[r1]
@@ -173,72 +163,15 @@ def _complex(g: GridDiagram, block_x: bool):
                         break
                 if hit:
                     continue
-                m2y, a2y = grads[iy]
-                assert m2x - m2y == 2, "empty rectangle must drop Maslov by one"
-                if block_x:
-                    assert a2x == a2y, "tilde rectangle must preserve Alexander"
-                key = (ix, iy)
-                parity[key] = parity.get(key, 0) ^ 1
-
-    edges = [k for k, v in parity.items() if v]
-    return gens, grads, edges
-
-
-def _block_homology(
-    keys: List[Tuple], edges: List[Tuple[int, int]], key_of, drop
-) -> Dict[Tuple, int]:
-    """F2 homology of a complex split into gradings-preserving blocks.
-
-    ``key_of(i)`` names generator i's block and ``drop(key)`` the block
-    its differential lands in.  Includes an explicit d^2 = 0 check.
-    """
-    blocks: Dict[Tuple, List[int]] = {}
-    pos: Dict[int, int] = {}
-    for i in range(len(keys)):
-        k = key_of(i)
-        pos[i] = len(blocks.setdefault(k, []))
-        blocks[k].append(i)
-
-    mats: Dict[Tuple, List[int]] = {}
-    for i, j in edges:
-        k = key_of(i)
-        if k not in mats:
-            mats[k] = [0] * len(blocks[k])
-        mats[k][pos[i]] |= 1 << pos[j]
-
-    D2_CHECKS["complexes"] += 1
-    for k, rows in mats.items():
-        nxt = mats.get(drop(k))
-        if nxt is not None:
-            if not f2_is_zero(f2_mul(rows, nxt)):
-                D2_CHECKS["failures"] += 1
-                raise AssertionError("rectangle differential fails d^2 = 0")
-
-    ranks = {k: f2_rank(rows) for k, rows in mats.items()}
-    out: Dict[Tuple, int] = {}
-    for k, members in blocks.items():
-        injecting = 0
-        for src, rk in ranks.items():
-            if drop(src) == k:
-                injecting = rk
-                break
-        h = len(members) - ranks.get(k, 0) - injecting
-        if h:
-            out[k] = h
-    return out
+                yield ix, iy, 1
 
 
 def tilde_homology(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
     """Homology of the fully blocked rectangle complex, (M, A)-bigraded."""
     _require_cap(g.n, cap)
-    gens, grads, edges = _complex(g, block_x=True)
-    table = _block_homology(
-        grads,
-        edges,
-        key_of=lambda i: grads[i],
-        drop=lambda k: (k[0] - 2, k[1]),
-    )
-    return BigradedDims.of_ranks(table)
+    grads, edges = _complex(g, block_x=True)
+    table = block_homology(grads, edges, lambda k: (k[0] - 2, k[1]), "f2")
+    return BigradedDims(table)
 
 
 def hat_from_grid(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
@@ -264,14 +197,9 @@ def total_homology_from_grid(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> Laure
     (u^(1/2) + u^(-1/2))^(l-1) regardless of the link type.
     """
     _require_cap(g.n, cap)
-    gens, grads, edges = _complex(g, block_x=False)
-    table = _block_homology(
-        grads,
-        edges,
-        key_of=lambda i: (grads[i][0],),
-        drop=lambda k: (k[0] - 2,),
-    )
-    poly = Laurent(U, {k: r for k, r in table.items()})
+    grads, edges = _complex(g, block_x=False)
+    table = block_homology([m2 for m2, _a2 in grads], edges, lambda m2: m2 - 2, "f2")
+    poly = Laurent(U, {(m2,): r for m2, (r, _t) in table.items()})
     power = g.n - g.component_count()
     return exact_divide(poly, _W_TOTAL ** power, require_nonnegative=True)
 

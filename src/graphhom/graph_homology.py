@@ -27,7 +27,7 @@ from .floer import (
 )
 from .grid import GridDiagram, pd_to_grid, simplify_grid
 from .invariants import Fingerprint, alexander, reduce_diagram
-from .kauffman import LinkFamily, family
+from .kauffman import family
 from .khovanov import KHOVANOV_CROSSING_CAP, graded_euler, khovanov_homology, unnormalized_jones
 from .laurent import Laurent, Q, T, U
 
@@ -188,19 +188,14 @@ def graph_homology(
     grid_cap: int = FLOER_GRID_CAP,
     crossing_cap: int = KHOVANOV_CROSSING_CAP,
     multiset: bool = False,
-    family_cap: int = 10**6,
-    fam: Optional[LinkFamily] = None,
     mapper: Callable = map,
 ) -> GraphHomologyReport:
     """Direct-sum homology report over the graph's link family.
 
-    ``fam`` short-circuits family enumeration when the caller already
-    holds it, and ``mapper`` lets the CLI farm the independent member
-    computations out to a process pool; results fold in family order
-    either way.
+    ``mapper`` lets the CLI farm the independent member computations out
+    to a process pool; results fold in family order either way.
     """
-    if fam is None:
-        fam = family(g, cap=family_cap)
+    fam = family(g)
 
     compute = partial(
         _member_fields,
@@ -276,22 +271,3 @@ def _verdict(states: List[str]) -> str:
         return "partial"
     return "pass"
 
-
-def hfg(g: GraphDiagram, **kwargs) -> GraphHomologyReport:
-    """Floer graph homology: direct sum of hat tables over the family."""
-    return graph_homology(g, floer=True, khovanov=False, **kwargs)
-
-
-def kkh_graph(g: GraphDiagram, coeffs: str = "z", **kwargs) -> GraphHomologyReport:
-    """Khovanov graph homology: direct sum over the family."""
-    return graph_homology(g, floer=False, khovanov=True, coeffs=coeffs, **kwargs)
-
-
-def euler_check(report: GraphHomologyReport) -> str:
-    """Aggregate Euler verdict for whichever flavors the report holds."""
-    states = [v for v in report.verdicts.values()]
-    if not states:
-        return "partial"
-    return _verdict(
-        ["skipped" if s == "partial" else s for s in states]
-    )

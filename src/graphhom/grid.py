@@ -334,9 +334,7 @@ def grid_to_diagram(g: GridDiagram) -> GraphDiagram:
         crossings[cid] = tup
         heads[u_in] = ("x", cid, slot_of["W" if east else "E"])
         heads[o_in] = ("x", cid, slot_of["N" if south else "S"])
-    d = GraphDiagram([list(t) for t in crossings], [], loops, heads)
-    d.validate()
-    return d
+    return GraphDiagram([list(t) for t in crossings], [], loops, heads).validate_strict()
 
 
 # -- planar diagram to braid form ------------------------------------------------

@@ -20,6 +20,9 @@ A = ("A",)
 
 DELTA = Laurent(A, {(4,): -1, (-4,): -1})  # circle value -A^2 - A^-2
 
+# Most crossings the bracket state sum (2^c states) runs over.
+BRACKET_CROSSING_CAP = 24
+
 
 def smoothing_circles(d: GraphDiagram) -> Iterator[Dict[int, int]]:
     """Arc -> circle label (the circle's smallest arc) for each smoothing
@@ -37,7 +40,7 @@ def smoothing_circles(d: GraphDiagram) -> Iterator[Dict[int, int]]:
         yield union_classes(arcs, pairs)
 
 
-def kauffman_bracket(d: GraphDiagram, cap: int = 24) -> Laurent:
+def kauffman_bracket(d: GraphDiagram, cap: int = BRACKET_CROSSING_CAP) -> Laurent:
     """State sum over all smoothings; unoriented, unnormalized, <o> = 1."""
     if not d.is_link():
         raise InvalidDiagram(["bracket is defined for link diagrams"])
@@ -54,10 +57,10 @@ def kauffman_bracket(d: GraphDiagram, cap: int = 24) -> Laurent:
     return out
 
 
-def jones(d: GraphDiagram, cap: int = 24) -> Laurent:
+def jones(d: GraphDiagram) -> Laurent:
     """(-A^3)^(-w) <D> under A = t^(-1/4); half-integer powers of t occur
     exactly for even component counts."""
-    bracket = kauffman_bracket(d, cap)
+    bracket = kauffman_bracket(d)
     w = d.writhe()
     correction = Laurent(A, {(-6 * w,): (-1) ** (w % 2)})
     normalized = correction * bracket

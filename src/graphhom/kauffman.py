@@ -25,6 +25,9 @@ log = logging.getLogger(__name__)
 SlotPair = Tuple[int, int]
 ReplacementChoice = Dict[int, Optional[SlotPair]]
 
+# Most replacement assignments a family enumerates.
+FAMILY_ASSIGNMENT_CAP = 10**6
+
 # an arc end is (arc id, endpoint it sits at)
 _End = Tuple[int, Tuple[str, int, int]]
 
@@ -199,7 +202,7 @@ class LinkFamily:
         }
 
 
-def family(g: GraphDiagram, cap: int = 10**6) -> LinkFamily:
+def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
     """All nonempty links produced by vertex replacements, deduplicated
     by fingerprint in deterministic order."""
     g.validate_strict()

@@ -28,14 +28,10 @@ from .diagrams import GraphDiagram
 from .errors import CapExceeded, InvalidDiagram
 from .invariants import jones, smoothing_circles
 from .laurent import Laurent, Q
-from .linalg import f2_is_zero, f2_mul, f2_rank, int_is_zero, int_mul, smith_invariant_factors
+from .linalg import block_homology
 
 # Most crossings a resolution cube (2^c states) is built over.
 KHOVANOV_CROSSING_CAP = 14
-
-# Running tallies of composition checks, readable by tests: every chain
-# complex assembled here verifies d∘d = 0 and records the outcome.
-D2_CHECKS = {"complexes": 0, "failures": 0}
 
 
 @dataclass(frozen=True)
@@ -95,49 +91,53 @@ def khovanov_homology(
     """Bigraded homology of the resolution cube; keys are (2i, 2j).
 
     Over Z the table carries free ranks and torsion orders from Smith
-    normal form; over F2 it carries dimensions.  Every complex built is
-    checked for d∘d = 0 before ranks are extracted.
+    normal form; over F2 it carries dimensions.  ``linalg.block_homology``
+    checks d∘d = 0 before ranks are extracted.
     """
     tag = _coeff_tag(coeffs)
     cube = build_cube(d, cap)
-    nc = len(d.crossings)
     shift = cube.n_plus - 2 * cube.n_minus
 
-    # Basis: (state, labeling mask) with set bits marking x labels on the
-    # state's sorted circle list.  Grouped into blocks by (r, 2j).
-    block_basis: Dict[Tuple[int, int], List[Tuple[int, int]]] = {}
-    position: Dict[Tuple[int, int], int] = {}
-    for s in range(1 << nc):
+    # Generators are (state, labeling mask) pairs, with set bits marking x
+    # labels on the state's sorted circle list; (s, mask) has index
+    # offset[s] + mask and sits in block (r, 2j).
+    offset: List[int] = []
+    keys: List[Tuple[int, int]] = []
+    for s, circles in enumerate(cube.circles):
+        offset.append(len(keys))
         r = bin(s).count("1")
-        k = len(cube.circles[s])
-        for mask in range(1 << k):
-            j2 = 2 * (k - 2 * bin(mask).count("1") + r + shift)
-            box = block_basis.setdefault((r, j2), [])
-            position[(s, mask)] = len(box)
-            box.append((s, mask))
+        k = len(circles)
+        keys.extend(
+            (r, 2 * (k - 2 * bin(mask).count("1") + r + shift)) for mask in range(1 << k)
+        )
 
-    # Differential entries grouped by source block.
+    table = block_homology(keys, _cube_edges(cube, offset), lambda k: (k[0] + 1, k[1]), tag)
+    return BigradedDims({(2 * (r - cube.n_minus), j2): e for (r, j2), e in table.items()})
+
+
+def _cube_edges(cube: ResolutionCube, offset: List[int]) -> Iterator[Tuple[int, int, int]]:
+    """Differential entries (source, target, sign) over all cube edges: the
+    Frobenius multiplication on a merge, comultiplication on a split."""
     positions = [{cid: b for b, cid in enumerate(circles)} for circles in cube.circles]
-    entries: Dict[Tuple[int, int], List[Tuple[int, int, int]]] = {}
     for s, k, sign in cube.edges():
         t = s | (1 << k)
-        r = bin(s).count("1")
-        src_circles, tgt_circles = cube.circles[s], cube.circles[t]
         src_pos, tgt_pos = positions[s], positions[t]
-        cr = d.crossings[k]
+        cr = cube.diagram.crossings[k]
         srcs = sorted({cube.arc_circle[s][a] for a in cr})
         tgts = sorted({cube.arc_circle[t][a] for a in cr})
-        spectators = [cid for cid in src_circles if cid not in srcs]
+        spectators = [cid for cid in cube.circles[s] if cid not in srcs]
+        if (len(srcs), len(tgts)) not in ((2, 1), (1, 2)):
+            raise InvalidDiagram(
+                [f"smoothing change at crossing {k} is neither merge nor split"]
+            )
 
-        for mask in range(1 << len(src_circles)):
+        for mask in range(1 << len(cube.circles[s])):
             base = 0
             for cid in spectators:
                 if mask >> src_pos[cid] & 1:
                     base |= 1 << tgt_pos[cid]
-            col = position[(s, mask)]
-            j2 = 2 * (len(src_circles) - 2 * bin(mask).count("1") + r + shift)
             outs: List[int] = []
-            if len(srcs) == 2 and len(tgts) == 1:
+            if len(srcs) == 2:
                 xu = mask >> src_pos[srcs[0]] & 1
                 xv = mask >> src_pos[srcs[1]] & 1
                 if not (xu and xv):  # x.x multiplies to zero
@@ -145,7 +145,7 @@ def khovanov_homology(
                     if xu or xv:
                         out |= 1 << tgt_pos[tgts[0]]
                     outs.append(out)
-            elif len(srcs) == 1 and len(tgts) == 2:
+            else:
                 xu = mask >> src_pos[srcs[0]] & 1
                 b1, b2 = (1 << tgt_pos[tgts[0]]), (1 << tgt_pos[tgts[1]])
                 if xu:
@@ -153,79 +153,8 @@ def khovanov_homology(
                 else:
                     outs.append(base | b1)
                     outs.append(base | b2)
-            else:
-                raise InvalidDiagram(
-                    [f"smoothing change at crossing {k} is neither merge nor split"]
-                )
-            j2_t = 2 * (
-                len(tgt_circles) - 2 * bin(outs[0]).count("1") + (r + 1) + shift
-            ) if outs else j2
-            if outs and j2_t != j2:
-                raise InvalidDiagram(
-                    [f"differential broke the quantum grading at crossing {k}"]
-                )
             for out in outs:
-                row = position[(t, out)]
-                entries.setdefault((r, j2), []).append((row, col, sign))
-
-    # Assemble per-(i, j) matrices and take homology block by block.
-    out: Dict[Tuple[int, int], Tuple[int, Tuple[int, ...]]] = {}
-    all_j2 = sorted({j2 for _, j2 in block_basis})
-    for j2 in all_j2:
-        dims = {r: len(block_basis.get((r, j2), ())) for r in range(nc + 2)}
-        mats: Dict[int, object] = {}
-        ranks: Dict[int, int] = {}
-        for r in range(nc + 1):
-            rows_n, cols_n = dims.get(r + 1, 0), dims.get(r, 0)
-            ent = entries.get((r, j2), [])
-            if tag == "f2":
-                rows = [0] * rows_n
-                for row, col, _sign in ent:
-                    rows[row] ^= 1 << col
-                mats[r] = rows
-                ranks[r] = f2_rank(rows) if rows_n and cols_n else 0
-            else:
-                m = [[0] * cols_n for _ in range(rows_n)]
-                for row, col, sign in ent:
-                    m[row][col] += sign
-                mats[r] = m
-                ranks[r] = (
-                    len(smith_invariant_factors(m)) if rows_n and cols_n else 0
-                )
-
-        D2_CHECKS["complexes"] += 1
-        for r in range(nc):
-            if dims.get(r, 0) and dims.get(r + 1, 0) and dims.get(r + 2, 0):
-                if tag == "f2":
-                    ok = f2_is_zero(f2_mul(mats[r + 1], mats[r]))
-                else:
-                    ok = int_is_zero(int_mul(mats[r + 1], mats[r]))
-                if not ok:
-                    D2_CHECKS["failures"] += 1
-                    raise InvalidDiagram(
-                        [f"differential does not square to zero at (r={r}, j2={j2})"]
-                    )
-
-        for r in range(nc + 1):
-            n_r = dims.get(r, 0)
-            if not n_r:
-                continue
-            rank_out = ranks.get(r, 0)
-            rank_in = ranks.get(r - 1, 0)
-            free = n_r - rank_out - rank_in
-            torsion: Tuple[int, ...] = ()
-            if tag == "z" and r >= 1:
-                prev = mats.get(r - 1)
-                if prev and dims.get(r - 1, 0):
-                    torsion = tuple(
-                        f for f in smith_invariant_factors(prev) if f > 1
-                    )
-            if free or torsion:
-                i2 = 2 * (r - cube.n_minus)
-                key = (i2, j2)
-                old = out.get(key, (0, ()))
-                out[key] = (old[0] + free, tuple(sorted(old[1] + torsion)))
-    return BigradedDims(out)
+                yield offset[s] + mask, offset[t] + out, sign
 
 
 def graded_euler(dims: BigradedDims) -> Laurent:
@@ -239,10 +168,10 @@ def graded_euler(dims: BigradedDims) -> Laurent:
     return Laurent(Q, terms)
 
 
-def unnormalized_jones(d: GraphDiagram, cap: int = 24) -> Laurent:
+def unnormalized_jones(d: GraphDiagram) -> Laurent:
     """Jones polynomial rescaled by (q + 1/q) and rewritten under the
     substitution q = -t^(1/2)."""
-    j = jones(d, cap)
+    j = jones(d)
     terms: Dict[Tuple[int, ...], int] = {}
     for (m,), coeff in j.terms.items():
         # t^(m/2) = (-q)^m

@@ -74,6 +74,34 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["family"],
+        ["invariants"],
+        ["khovanov"],
+        ["floer"],
+        ["graph-homology"],
+        ["moves", "--seed", "0"],
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize(
+    "text",
+    ["[]", "null", '{"loops": 1e400}', '{"orientations": [1]}'],
+    ids=["list", "null", "huge_loops", "orientation_list"],
+)
+def test_non_diagram_document_exit_two(command, text, tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(text)
+    code = main([command[0], str(p), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "invalid diagram" in err
+    assert "Traceback" not in err
+
+
 def test_missing_file_exit_two(capsys):
     code, _ = run_cli(["validate", "/nonexistent/x.json"], capsys=capsys)
     assert code == 2

@@ -16,9 +16,9 @@ from graphhom.catalog import (
     unlink,
 )
 from graphhom.diagrams import connected_sum, disjoint_union
-from graphhom.errors import CapExceeded
+from graphhom import linalg
+from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.floer import (
-    D2_CHECKS,
     euler_matches_skein,
     gradings,
     hat_euler,
@@ -180,9 +180,15 @@ def test_grid_cap_reports_generator_count():
     assert exc.value.detail["generators"] == 362880
 
 
-def test_d2_checks_advance_without_failures():
-    before = dict(D2_CHECKS)
-    tilde_homology(UNKNOT_GRID)
-    total_homology_from_grid(UNKNOT_GRID)
-    assert D2_CHECKS["complexes"] >= before["complexes"] + 2
-    assert D2_CHECKS["failures"] == before["failures"] == 0
+def test_d2_check_failure_raises_invalid_diagram(monkeypatch):
+    # Force every d∘d product to read as nonzero.  The trefoil grid
+    # (n = 5) has composable blocks in both complexes, so each must raise;
+    # the 2 x 2 unknot grid has none and would compare no product.
+    g = simplify_grid(pd_to_grid(trefoil_right()))
+    assert g.n == 5
+    monkeypatch.setattr(linalg, "f2_is_zero", lambda rows: False)
+    monkeypatch.setattr(linalg, "int_is_zero", lambda rows: False)
+    with pytest.raises(InvalidDiagram, match="square to zero"):
+        tilde_homology(g)
+    with pytest.raises(InvalidDiagram, match="square to zero"):
+        total_homology_from_grid(g)

@@ -9,28 +9,24 @@ from graphhom.graph_homology import (
     SKIP_CROSSINGS,
     SKIP_GRID,
     _weighted,
-    euler_check,
     graph_homology,
-    hfg,
-    kkh_graph,
 )
 from graphhom.laurent import Laurent, T
 
 
 def test_handcuff_hfg_decomposition():
-    report = hfg(handcuff())
+    report = graph_homology(handcuff(), khovanov=False)
     assert len(report.members) == 2
     assert report.aggregate_floer.ranks() == {(1, 0): 1, (-1, 0): 1, (0, 0): 1}
     assert report.aggregate_floer.total_rank() == 3
-    assert report.verdicts["floer_euler"] == "pass"
-    assert euler_check(report) == "pass"
+    assert report.verdicts == {"floer_euler": "pass"}
     # The unlink member's Euler characteristic cancels to zero, so only
     # the unknot contributes to the aggregate.
     assert report.aggregate_floer_euler == Laurent(T, {(0,): 1})
 
 
 def test_hopf_handcuff_hfg():
-    report = hfg(hopf_handcuff())
+    report = graph_homology(hopf_handcuff(), khovanov=False)
     assert len(report.members) == 2
     by_components = {m.fingerprint.components: m for m in report.members}
     hopf_member = by_components[2]
@@ -43,20 +39,20 @@ def test_hopf_handcuff_hfg():
 
 
 def test_vertexless_link_is_a_singleton_family():
-    report = hfg(trefoil_right())
+    report = graph_homology(trefoil_right(), khovanov=False)
     assert len(report.members) == 1
     assert report.aggregate_floer.total_rank() == 3
-    assert euler_check(report) == "pass"
+    assert report.verdicts == {"floer_euler": "pass"}
 
 
 def test_handcuff_kkh():
-    report = kkh_graph(handcuff())
+    report = graph_homology(handcuff(), floer=False)
     assert report.aggregate_khovanov.total_rank() == 6
     assert report.verdicts["khovanov_euler"] == "pass"
 
 
 def test_hopf_handcuff_kkh():
-    report = kkh_graph(hopf_handcuff())
+    report = graph_homology(hopf_handcuff(), floer=False)
     assert report.aggregate_khovanov.total_rank() == 6
     assert report.verdicts["khovanov_euler"] == "pass"
     members = sorted(m.khovanov.total_rank() for m in report.members)
@@ -73,8 +69,8 @@ def test_empty_family_is_flagged_zero_homology():
 
 
 def test_multiset_weights_by_multiplicity():
-    plain = hfg(handcuff())
-    weighted = hfg(handcuff(), multiset=True)
+    plain = graph_homology(handcuff(), khovanov=False)
+    weighted = graph_homology(handcuff(), khovanov=False, multiset=True)
     expected = sum(
         m.multiplicity * m.floer.total_rank() for m in weighted.members
     )
@@ -98,8 +94,7 @@ def test_floer_skip_degrades_verdict_to_partial():
     assert member.floer_skip == SKIP_GRID
     assert member.floer is None
     assert member.grid_size == 5
-    assert report.verdicts["floer_euler"] == "partial"
-    assert euler_check(report) == "partial"
+    assert report.verdicts == {"floer_euler": "partial", "khovanov_euler": "pass"}
 
 
 def test_khovanov_skip_degrades_verdict_to_partial():

@@ -1,14 +1,17 @@
-"""Rank and Smith form checks against hand-computable matrices."""
+"""Rank, Smith form and block homology checks against hand-computable
+matrices and complexes."""
 
+import pytest
 from hypothesis import given, strategies as st
 
+from graphhom.errors import InvalidDiagram
 from graphhom.linalg import (
+    block_homology,
     f2_is_zero,
     f2_mul,
     f2_rank,
     int_is_zero,
     int_mul,
-    int_rank,
     smith_invariant_factors,
 )
 
@@ -48,9 +51,9 @@ def test_smith_known_forms():
 
 
 def test_smith_rank_matches_obvious_rank():
-    assert int_rank([[1, 2], [2, 4]]) == 1
-    assert int_rank([[1, 2], [3, 4]]) == 2
-    assert int_rank([[0]]) == 0
+    assert len(smith_invariant_factors([[1, 2], [2, 4]])) == 1
+    assert len(smith_invariant_factors([[1, 2], [3, 4]])) == 2
+    assert len(smith_invariant_factors([[0]])) == 0
 
 
 @given(
@@ -73,3 +76,65 @@ def test_int_mul():
     b = [[0, 1], [1, 0]]
     assert int_mul(a, b) == [[2, 1], [4, 3]]
     assert int_is_zero(int_mul([[1, -1]], [[1, 1], [1, 1]]))
+
+
+# -- block homology -------------------------------------------------------------
+# Blocks are homological degrees 0, 1, 2 with the differential raising
+# the degree by one.
+
+
+def _up(k):
+    return k + 1
+
+
+def test_f2_block_ranks():
+    # Degree 0: a, b; degree 1: c, d, e; degree 2: f.
+    # d(a) = d(b) = c + d, d(c) = d(d) = f, d(e) = 0; d(d(a)) = 2f = 0 mod 2.
+    keys = [0, 0, 1, 1, 1, 2]
+    edges = [(0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 3, 1), (2, 5, 1), (3, 5, 1)]
+    assert block_homology(keys, iter(edges), _up, "f2") == {0: (1, ()), 1: (1, ())}
+    # Without d on degree 1, f survives and c, d, e carry H1 = 3 - 1.
+    table = block_homology(keys, iter(edges[:4]), _up, "f2")
+    assert table == {0: (1, ()), 1: (2, ()), 2: (1, ())}
+    # A coefficient of 2 vanishes mod 2; two entries on one pair cancel.
+    assert block_homology([0, 1], [(0, 1, 2)], _up, "f2") == {0: (1, ()), 1: (1, ())}
+    assert block_homology([0, 1], [(0, 1, 1), (0, 1, 1)], _up, "f2") == {
+        0: (1, ()),
+        1: (1, ()),
+    }
+
+
+def test_z_torsion_lands_in_target_block():
+    # Z --2--> Z: no free homology, Z/2 in the target block.
+    assert block_homology([0, 1], [(0, 1, 2)], _up, "z") == {1: (0, (2,))}
+    assert block_homology([0, 1], [(0, 1, 2)], _up, "f2") == {0: (1, ()), 1: (1, ())}
+    # Z^2 --[[2, 0], [0, 3]]--> Z^2 leaves Z/6, from the invariant factors 1, 6.
+    edges = [(0, 2, 2), (1, 3, 3)]
+    assert block_homology([0, 0, 1, 1], edges, _up, "z") == {1: (0, (6,))}
+    # Entries on one pair add: 1 + 1 = 2.
+    assert block_homology([0, 1], [(0, 1, 1), (0, 1, 1)], _up, "z") == {1: (0, (2,))}
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
+def test_nonzero_square_raises(ring):
+    # a -> b -> c with both maps 1, so d(d(a)) = c.
+    with pytest.raises(InvalidDiagram, match="square to zero"):
+        block_homology([0, 1, 2], [(0, 1, 1), (1, 2, 1)], _up, ring)
+
+
+def test_square_zero_only_mod_2():
+    # a -> b1, b2 -> c with every map 1: d(d(a)) = 2c, zero over F2 only.
+    keys = [0, 1, 1, 2]
+    edges = [(0, 1, 1), (0, 2, 1), (1, 3, 1), (2, 3, 1)]
+    assert block_homology(keys, edges, _up, "f2") == {}
+    with pytest.raises(InvalidDiagram, match="square to zero"):
+        block_homology(keys, edges, _up, "z")
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
+def test_entry_outside_target_block_raises(ring):
+    with pytest.raises(InvalidDiagram, match="leaves block"):
+        block_homology([0, 1, 2], [(0, 2, 1)], _up, ring)
+    # Also when the target block has no generators at all.
+    with pytest.raises(InvalidDiagram, match="leaves block"):
+        block_homology([0, 2], [(0, 1, 1)], _up, ring)
