@@ -17,6 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import reduce
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
 
@@ -24,7 +25,7 @@ from .diagrams import GraphDiagram
 from .errors import CapExceeded, GraphhomError, InvalidDiagram
 from .floer import FLOER_GRID_CAP
 from .graph_homology import MemberReport, floer_fields, graph_homology, khovanov_fields
-from .grid import GridDiagram, grid_to_diagram, pd_to_grid, simplify_grid
+from .grid import GridDiagram, grid_to_diagram, grid_union, piece_grids, simplify_grid
 from .invariants import conway, determinant, fingerprint, reduce_diagram
 from .kauffman import FAMILY_ASSIGNMENT_CAP, family
 from .khovanov import KHOVANOV_CROSSING_CAP
@@ -67,14 +68,28 @@ def _load_json(path: str) -> dict:
         )
 
 
-def _load_diagram(path: str) -> GraphDiagram:
-    doc = _load_json(path)
+_DIAGRAM_KEYS = {"crossings", "vertices", "loops", "orientations"}
+
+
+def _diagram_from_doc(doc, path: str) -> GraphDiagram:
+    """Parse a diagram document; one with foreign keys (a grid, say) or
+    one describing no crossing, vertex or loop is unusable input."""
+    if isinstance(doc, dict) and not set(doc) <= _DIAGRAM_KEYS:
+        unknown = ", ".join(sorted(repr(k) for k in set(doc) - _DIAGRAM_KEYS))
+        raise _Exit(2, f"{path}: invalid diagram: unknown keys {unknown}")
     try:
-        return GraphDiagram.from_json(doc)
+        d = GraphDiagram.from_json(doc)
     except InvalidDiagram as exc:
         raise _Exit(2, f"{path}: invalid diagram: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
         raise _Exit(2, f"{path}: not a diagram document: {exc}")
+    if not (d.crossings or d.vertices or d.loops):
+        raise _Exit(2, f"{path}: invalid diagram: it has no crossings, vertices or loops")
+    return d
+
+
+def _load_diagram(path: str) -> GraphDiagram:
+    return _diagram_from_doc(_load_json(path), path)
 
 
 def _require_link(d: GraphDiagram, path: str) -> GraphDiagram:
@@ -180,18 +195,15 @@ def _cmd_floer(args) -> int:
         except InvalidDiagram as exc:
             raise _Exit(2, f"{args.path}: invalid grid: {exc}")
         d = grid_to_diagram(g)
+        pieces = [simplify_grid(g)]
         source = "grid"
     else:
-        try:
-            d = GraphDiagram.from_json(doc)
-        except InvalidDiagram as exc:
-            raise _Exit(2, f"{args.path}: invalid diagram: {exc}")
-        _require_link(d, args.path)
-        g = pd_to_grid(d)
+        d = _require_link(_diagram_from_doc(doc, args.path), args.path)
+        pieces = [simplify_grid(g) for g in piece_grids(d)]
         source = "link"
-    g = simplify_grid(g)
+    g = reduce(grid_union, pieces)
     out: dict = {"source": source, "grid": g.to_json(), "components": g.component_count()}
-    fields = floer_fields(g, d, args.max_grid)
+    fields = floer_fields(pieces, d, args.max_grid)
     if "floer_skip" in fields:
         out["skip"] = fields["floer_skip"]
         _emit(out)
@@ -282,7 +294,7 @@ def _census_report(doc: dict) -> dict:
             fingerprint=fingerprint(d),
             multiplicity=1,
             **khovanov_fields(d),
-            **floer_fields(simplify_grid(pd_to_grid(d)), d),
+            **floer_fields([simplify_grid(g) for g in piece_grids(d)], d),
         )
         out = member.to_json()
         for key in _CENSUS_LINK_OMITS:

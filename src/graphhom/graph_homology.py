@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
@@ -25,7 +25,7 @@ from .floer import (
     skein_euler_target,
     total_homology_from_grid,
 )
-from .grid import GridDiagram, pd_to_grid, simplify_grid
+from .grid import GridDiagram, piece_grids, simplify_grid
 from .invariants import Fingerprint, alexander, reduce_diagram
 from .kauffman import family
 from .khovanov import KHOVANOV_CROSSING_CAP, graded_euler, khovanov_homology, unnormalized_jones
@@ -127,24 +127,44 @@ def _expected_total(ell: int) -> Laurent:
     return Laurent(U, {(1,): 1, (-1,): 1}) ** (ell - 1)
 
 
-def floer_fields(grid: GridDiagram, diagram: GraphDiagram, cap: int = FLOER_GRID_CAP) -> dict:
-    """Hat and total homology of ``grid``, a simplified grid presenting the
-    link ``diagram``, each checked against what the link predicts: the hat
-    Euler characteristic against the skein polynomial, the total homology
-    against (u^1/2 + u^-1/2)^(l-1).  A grid over ``cap`` gets a skip reason."""
-    fields: dict = {"grid_size": grid.n}
-    if grid.n > cap:
+# What each split piece past the first adds: HFK^(L1 u L2) is
+# HFK^(L1) (x) HFK^(L2) (x) V, and V is the hat homology of the
+# two-component unlink (Maslov +-1/2, Alexander 0, doubled); the total
+# homology gains the factor u^1/2 + u^-1/2.
+_HAT_SPLIT_FACTOR = BigradedDims.of_ranks({(1, 0): 1, (-1, 0): 1})
+_TOTAL_SPLIT_FACTOR = _expected_total(2)
+
+
+def floer_fields(
+    pieces: Sequence[GridDiagram], diagram: GraphDiagram, cap: int = FLOER_GRID_CAP
+) -> dict:
+    """Hat and total homology of the link ``diagram``, whose split pieces
+    ``pieces`` present as simplified grids, each checked against what the
+    whole link predicts: the hat Euler characteristic against the skein
+    polynomial of ``diagram``, the total homology against
+    (u^1/2 + u^-1/2)^(l-1).
+
+    Each piece is computed on its own grid and the pieces are tensored,
+    with one rank-two factor per piece past the first.  A piece's n!
+    generators set the cost, so ``cap`` bounds the largest piece: when a
+    piece is over it, the link gets a skip reason.  ``grid_size`` is the
+    sum of the piece sizes, the size of the stacked grid.
+    """
+    fields: dict = {"grid_size": sum(g.n for g in pieces)}
+    if max(g.n for g in pieces) > cap:
         fields["floer_skip"] = SKIP_GRID
         return fields
-    hat = hat_from_grid(grid, cap)
-    total = total_homology_from_grid(grid, cap)
+    hat = hat_from_grid(pieces[0], cap)
+    total = total_homology_from_grid(pieces[0], cap)
+    for g in pieces[1:]:
+        hat = hat.tensor_ranks(hat_from_grid(g, cap)).tensor_ranks(_HAT_SPLIT_FACTOR)
+        total = total * total_homology_from_grid(g, cap) * _TOTAL_SPLIT_FACTOR
+    components = sum(g.component_count() for g in pieces)
     fields["floer"] = hat
     fields["floer_euler"] = hat_euler(hat)
     fields["floer_check"] = euler_matches_skein(hat, diagram)
     fields["total_poincare"] = total
-    fields["total_check"] = (
-        "pass" if total == _expected_total(grid.component_count()) else "fail"
-    )
+    fields["total_check"] = "pass" if total == _expected_total(components) else "fail"
     return fields
 
 
@@ -173,8 +193,8 @@ def _member_fields(
 ) -> dict:
     fields: dict = {}
     if floer:
-        grid = simplify_grid(pd_to_grid(fm.diagram))
-        fields.update(floer_fields(grid, fm.diagram, grid_cap))
+        pieces = [simplify_grid(g) for g in piece_grids(fm.diagram)]
+        fields.update(floer_fields(pieces, fm.diagram, grid_cap))
     if khovanov:
         fields.update(khovanov_fields(fm.diagram, coeffs, crossing_cap))
     return fields

@@ -14,6 +14,7 @@ the closed braid is laid out on a grid column by column.
 """
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .catalog import braid_closure
@@ -519,8 +520,9 @@ def _connected_pieces(d: GraphDiagram) -> List[GraphDiagram]:
     return pieces
 
 
-def pd_to_grid(d: GraphDiagram) -> GridDiagram:
-    """Grid presentation of the oriented link: reduce, braid pieces, stack blocks.
+def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
+    """One grid per split piece of the oriented link: reduce, then braid
+    each connected piece and give each loop the 2 x 2 unknot grid.
 
     Piece words short enough to afford a bracket computation are checked
     against the input by fingerprint before use: a bracket over 2^c
@@ -540,7 +542,10 @@ def pd_to_grid(d: GraphDiagram) -> GridDiagram:
     grids.extend(GridDiagram(2, (1, 0), (0, 1)) for _ in range(d.loops))
     if not grids:
         raise InvalidDiagram(["empty diagram has no grid presentation"])
-    out = grids[0]
-    for g in grids[1:]:
-        out = grid_union(out, g)
-    return out
+    return grids
+
+
+def pd_to_grid(d: GraphDiagram) -> GridDiagram:
+    """Grid presentation of the oriented link: the piece grids stacked
+    block-diagonally."""
+    return reduce(grid_union, piece_grids(d))

@@ -89,8 +89,8 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
 )
 @pytest.mark.parametrize(
     "text",
-    ["[]", "null", '{"loops": 1e400}', '{"orientations": [1]}'],
-    ids=["list", "null", "huge_loops", "orientation_list"],
+    ["[]", "null", '{"loops": 1e400}', '{"orientations": [1]}', "{}", '{"loops": 0}'],
+    ids=["list", "null", "huge_loops", "orientation_list", "empty", "no_loops"],
 )
 def test_non_diagram_document_exit_two(command, text, tmp_path, capsys):
     p = tmp_path / "doc.json"
@@ -99,6 +99,28 @@ def test_non_diagram_document_exit_two(command, text, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "invalid diagram" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["family"],
+        ["invariants"],
+        ["khovanov"],
+        ["graph-homology"],
+        ["moves", "--seed", "0"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_grid_document_is_not_a_diagram(command, tmp_path, capsys):
+    p = tmp_path / "grid.json"
+    p.write_text('{"n": 2, "X": [1, 0], "O": [0, 1]}')
+    code = main([command[0], str(p), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "unknown keys" in err
     assert "Traceback" not in err
 
 
@@ -197,9 +219,13 @@ def test_graph_homology_jobs_deterministic(tmp_path, capsys):
     assert serial == parallel
 
 
-def test_graph_homology_skip_exits_one(handcuff_path, capsys):
+def test_graph_homology_skip_exits_one(tmp_path, capsys):
+    # The cap bounds the largest split piece of a member: the handcuff's
+    # pieces are all unknots (n = 2), the hopf handcuff's Hopf link needs n = 4.
+    p = tmp_path / "hh.json"
+    p.write_text(json.dumps(hopf_handcuff().to_json()))
     code, out = run_cli(
-        ["graph-homology", handcuff_path, "--floer", "--max-grid", "2"], capsys=capsys
+        ["graph-homology", str(p), "--floer", "--max-grid", "3"], capsys=capsys
     )
     assert code == 1
     assert json.loads(out)["verdicts"]["floer_euler"] == "partial"

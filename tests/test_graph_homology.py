@@ -1,17 +1,30 @@
 """Family direct sums: handcuff-type decompositions plus skip/empty paths."""
 
+import json
+
 import pytest
 
 from graphhom.bigraded import BigradedDims
 from graphhom.catalog import handcuff, hopf_handcuff, theta, trefoil_right
-from graphhom.diagrams import GraphDiagram
+from graphhom.diagrams import GraphDiagram, connected_sum
+from graphhom.floer import FLOER_GRID_CAP, hat_euler, hat_from_grid, total_homology_from_grid
 from graphhom.graph_homology import (
     SKIP_CROSSINGS,
     SKIP_GRID,
     _weighted,
     graph_homology,
 )
+from graphhom.grid import pd_to_grid, simplify_grid
+from graphhom.kauffman import family
 from graphhom.laurent import Laurent, T
+from graphhom.moves import random_move_sequence
+
+
+def g6():
+    """The fixed benchmark graph G6: six trivalent vertices, 729
+    assignments, eight distinct members."""
+    g = connected_sum(hopf_handcuff(), connected_sum(theta(), hopf_handcuff()))
+    return random_move_sequence(g, count=10, seed=3, kinds={"R4", "R5"})[0]
 
 
 def test_handcuff_hfg_decomposition():
@@ -108,3 +121,33 @@ def test_theta_graph_reports_cleanly():
     assert report.verdicts["floer_euler"] == "pass"
     assert report.verdicts["khovanov_euler"] == "pass"
     assert report.to_json()["distinct_members"] == len(report.members)
+
+
+def test_g6_floer_is_complete():
+    report = graph_homology(g6(), khovanov=False)
+    assert report.assignments == 729
+    assert len(report.members) == 8
+    assert all(m.floer is not None and m.floer_skip is None for m in report.members)
+    assert max(m.fingerprint.components for m in report.members) == 5
+    assert max(m.grid_size for m in report.members) == 10
+    assert report.verdicts == {"floer_euler": "pass"}
+
+
+@pytest.mark.parametrize("graph", [handcuff, hopf_handcuff, g6], ids=lambda f: f.__name__)
+def test_split_pieces_match_the_stacked_grid(graph):
+    """Per-piece tables tensored together equal the tables of the whole
+    member's stacked grid, wherever that grid fits under the cap."""
+    g = graph()
+    compared = 0
+    for fm, m in zip(family(g).members, graph_homology(g, khovanov=False).members):
+        assert m.fingerprint == fm.fingerprint
+        stacked = simplify_grid(pd_to_grid(fm.diagram))
+        if stacked.n > FLOER_GRID_CAP:
+            continue
+        hat = hat_from_grid(stacked)
+        total = total_homology_from_grid(stacked)
+        assert json.dumps(m.floer.to_json()) == json.dumps(hat.to_json())
+        assert json.dumps(m.floer_euler.to_json()) == json.dumps(hat_euler(hat).to_json())
+        assert json.dumps(m.total_poincare.to_json()) == json.dumps(total.to_json())
+        compared += 1
+    assert compared == {"handcuff": 2, "hopf_handcuff": 2, "g6": 7}[graph.__name__]

@@ -1,6 +1,9 @@
 """Grid presentations: moves, simplification, and braid-based conversion."""
 
+import json
 import random
+from functools import reduce
+from importlib import resources
 
 import pytest
 
@@ -13,8 +16,9 @@ from graphhom.catalog import (
     trefoil_left,
     trefoil_right,
     unknot,
+    unlink,
 )
-from graphhom.diagrams import connected_sum, disjoint_union
+from graphhom.diagrams import GraphDiagram, connected_sum, disjoint_union
 from graphhom.errors import InvalidDiagram
 from graphhom.grid import (
     GridDiagram,
@@ -28,6 +32,7 @@ from graphhom.grid import (
     grid_union,
     link_evidence,
     pd_to_grid,
+    piece_grids,
     reverse,
     simplify_grid,
     stabilize,
@@ -112,6 +117,36 @@ def test_composite_diagrams_round_trip():
         disjoint_union(unknot(), trefoil_right()),
     ):
         assert link_evidence(grid_to_diagram(pd_to_grid(d))) == link_evidence(d)
+
+
+# Census links by name, with the number of split pieces each has.
+CENSUS_LINK_PIECES = {
+    "figure_eight": 1,
+    "hopf_negative": 1,
+    "hopf_positive": 1,
+    "trefoil_left": 1,
+    "trefoil_right": 1,
+    "unknot": 1,
+    "unlink2": 2,
+}
+
+
+def census_link(name):
+    text = (resources.files("graphhom.census") / f"{name}.diagram.json").read_text("utf-8")
+    return GraphDiagram.from_json(json.loads(text))
+
+
+@pytest.mark.parametrize(
+    "d, pieces",
+    [pytest.param(census_link(name), k, id=name) for name, k in CENSUS_LINK_PIECES.items()]
+    + [pytest.param(unlink(k), k, id=f"unlink{k}") for k in (1, 2, 3)]
+    + [pytest.param(disjoint_union(hopf_positive(), trefoil_right()), 2, id="hopf+trefoil")],
+)
+def test_pd_to_grid_stacks_the_piece_grids(d, pieces):
+    grids = piece_grids(d)
+    assert len(grids) == pieces
+    assert pd_to_grid(d) == reduce(grid_union, grids)
+    assert sum(g.component_count() for g in grids) == d.split_components()[0]
 
 
 def test_braid_word_recovers_torus_words():
