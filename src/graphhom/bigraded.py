@@ -41,9 +41,6 @@ class BigradedDims:
     def total_rank(self) -> int:
         return sum(r for r, _ in self.dims.values())
 
-    def total_torsion(self) -> int:
-        return sum(len(t) for _, t in self.dims.values())
-
     def ranks(self) -> Dict[Bigrading, int]:
         return {k: r for k, (r, _) in self.dims.items() if r}
 

@@ -24,11 +24,8 @@ from .invariants import fingerprint, reduce_diagram
 from .khovanov import KHOVANOV_CROSSING_CAP
 from .moves import _r2_insert, crossing_from_compass
 
-
-def link_evidence(d: GraphDiagram) -> Tuple:
-    """Invariant tuple used to certify that a conversion preserved the link."""
-    fp = fingerprint(d)
-    return (fp.components, fp.jones, fp.alexander)
+# Most grids one commutation search of simplify_grid visits.
+SIMPLIFY_SEARCH_CAP = 4000
 
 
 @dataclass(frozen=True)
@@ -237,7 +234,7 @@ def commute_cols(g: GridDiagram, c: int) -> Optional[GridDiagram]:
     return None if swapped is None else transpose(swapped)
 
 
-def simplify_grid(g: GridDiagram, search_cap: int = 4000) -> GridDiagram:
+def simplify_grid(g: GridDiagram) -> GridDiagram:
     """Greedy destabilization; commutations are searched breadth-first at
     fixed size until one exposes a destabilization, so n never increases."""
     while True:
@@ -248,7 +245,7 @@ def simplify_grid(g: GridDiagram, search_cap: int = 4000) -> GridDiagram:
         frontier = [g]
         seen = {(g.X, g.O)}
         unlocked = None
-        while frontier and unlocked is None and len(seen) < search_cap:
+        while frontier and unlocked is None and len(seen) < SIMPLIFY_SEARCH_CAP:
             state = frontier.pop(0)
             for trial in [commute_rows(state, r) for r in range(state.n - 1)] + [
                 commute_cols(state, c) for c in range(state.n - 1)
@@ -536,7 +533,7 @@ def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
     for piece in _connected_pieces(d):
         word, strands = braid_word(piece)
         if len(word) <= KHOVANOV_CROSSING_CAP:
-            if link_evidence(braid_closure(word, strands)) != link_evidence(piece):
+            if fingerprint(braid_closure(word, strands)) != fingerprint(piece):
                 raise RoutingFailure("extracted braid closure presents a different link")
         grids.append(braid_to_grid(word, strands))
     grids.extend(GridDiagram(2, (1, 0), (0, 1)) for _ in range(d.loops))

@@ -9,6 +9,7 @@ on the diagram plumbing.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .diagrams import GraphDiagram, _splice_pairs, splice_crossing, union_classes
@@ -22,6 +23,13 @@ DELTA = Laurent(A, {(4,): -1, (-4,): -1})  # circle value -A^2 - A^-2
 
 # Most crossings the bracket state sum (2^c states) runs over.
 BRACKET_CROSSING_CAP = 24
+
+# Most nodes the skein recursion of one Conway polynomial visits.
+SKEIN_NODE_CAP = 100000
+
+# Most components a fingerprint reorients; one more stays pinned, so a
+# fingerprint computes at most 2^6 Jones and Alexander pairs.
+ORIENTATION_FLIP_CAP = 6
 
 
 def smoothing_circles(d: GraphDiagram) -> Iterator[Dict[int, int]]:
@@ -149,20 +157,20 @@ def _oriented_smoothing(d: GraphDiagram, i: int) -> GraphDiagram:
     return _splice_pairs(d, i, ((0, 3), (1, 2)))
 
 
-def conway(d: GraphDiagram, cap: int = 100000) -> Laurent:
+def conway(d: GraphDiagram) -> Laurent:
     """Skein polynomial: nabla(o) = 1, split links vanish, and
     nabla(L+) - nabla(L-) = z nabla(L0)."""
     if not d.is_link():
         raise InvalidDiagram(["skein recursion is defined for link diagrams"])
     memo: Dict[Tuple, Laurent] = {}
-    budget = [cap]
+    budget = [SKEIN_NODE_CAP]
 
     z = Laurent.term(Z, (2,))
 
     def rec(cur: GraphDiagram) -> Laurent:
         cur = reduce_diagram(cur)
         if budget[0] <= 0:
-            raise CapExceeded(f"skein recursion exceeded {cap} nodes")
+            raise CapExceeded(f"skein recursion exceeded {SKEIN_NODE_CAP} nodes")
         budget[0] -= 1
         if not cur.crossings:
             n = cur.loops
@@ -244,18 +252,16 @@ def reverse_component(d: GraphDiagram, comp: int) -> GraphDiagram:
     return GraphDiagram(d.crossings, d.vertices, d.loops, heads)._rotate_crossings(rot)
 
 
+@dataclass(frozen=True)
 class Fingerprint:
     """Comparison currency for links: component count, Jones, Alexander,
     minimized over component orientations so unoriented isotopy classes
     compare stably.  Presentation data (crossing counts, writhe) stays
     out: distinct diagrams of one link must compare equal."""
 
-    __slots__ = ("components", "jones", "alexander")
-
-    def __init__(self, components: int, jones_poly: Laurent, alex: Laurent):
-        self.components = components
-        self.jones = jones_poly
-        self.alexander = alex
+    components: int
+    jones: Laurent
+    alexander: Laurent
 
     def sort_key(self) -> Tuple:
         return (
@@ -264,12 +270,6 @@ class Fingerprint:
             self.alexander.sort_key(),
         )
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Fingerprint) and self.sort_key() == other.sort_key()
-
-    def __hash__(self) -> int:
-        return hash(self.sort_key())
-
     def to_json(self) -> Dict:
         return {
             "components": self.components,
@@ -277,38 +277,26 @@ class Fingerprint:
             "alexander": self.alexander.to_json(),
         }
 
-    def __repr__(self) -> str:
-        return (
-            f"Fingerprint(components={self.components}, "
-            f"jones={self.jones!r}, alexander={self.alexander!r})"
-        )
 
-
-def oriented_invariant_min(d: GraphDiagram, flip_cap: int = 6) -> Tuple[GraphDiagram, Laurent, Laurent]:
-    """The diagram reoriented to minimize (Jones, Alexander) sort keys.
-
-    Global reversal fixes both polynomials, so one component stays
-    pinned.  Makes downstream choices independent of how an unoriented
-    link happened to be oriented on arrival."""
-    ncomp, labels = d.split_components()
-    flippable = sorted({k for k in labels.values()})[1:]
-    if len(flippable) > flip_cap:
+def fingerprint(d: GraphDiagram) -> Fingerprint:
+    """Fingerprint of the reduced diagram, reoriented to minimize the
+    (Jones, Alexander) sort keys.  Global reversal fixes both polynomials,
+    so one component stays pinned; the result does not depend on how an
+    unoriented link happened to be oriented on arrival."""
+    reduced = reduce_diagram(d)
+    ncomp, labels = reduced.split_components()
+    flippable = sorted(set(labels.values()))[1:]
+    if len(flippable) > ORIENTATION_FLIP_CAP:
         raise CapExceeded(f"{len(flippable) + 1} components exceed the orientation cap")
     best = None
     for mask in range(1 << len(flippable)):
-        cur = d
+        cur = reduced
         for bit, comp in enumerate(flippable):
             if mask >> bit & 1:
                 cur = reverse_component(cur, comp)
-        key = (jones(cur).sort_key(), alexander(cur).sort_key())
+        j, a = jones(cur), alexander(cur)
+        key = (j.sort_key(), a.sort_key())
         if best is None or key < best[0]:
-            best = (key, cur)
-    key, cur = best
-    return cur, jones(cur), alexander(cur)
-
-
-def fingerprint(d: GraphDiagram) -> Fingerprint:
-    reduced = reduce_diagram(d)
-    ncomp, _ = reduced.split_components()
-    _, j, a = oriented_invariant_min(reduced)
+            best = (key, j, a)
+    _, j, a = best
     return Fingerprint(ncomp, j, a)

@@ -4,8 +4,10 @@ A replacement choice routes one pair of edge-ends through each vertex
 and leaves the rest as free ends.  Applying a full assignment deletes
 every open strand, splices surviving strands straight through the
 crossings that lose a passage, and keeps the closed curves.  The family
-collects the nonempty results over all assignments, deduplicated by
-fingerprint with multiplicities.
+collects the nonempty results over all assignments with multiplicities:
+assignments are grouped by the canonical key of their reduced link, each
+group is fingerprinted once, and groups with equal fingerprints merge into
+one member, whose diagram is its first link in product order.
 """
 
 from __future__ import annotations
@@ -210,27 +212,25 @@ def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
     if n > cap:
         raise CapExceeded(f"{n} replacement assignments exceed the cap of {cap}")
     per_vertex = [vertex_choices(len(v)) or [None] for v in g.vertices]
-    found: Dict[Tuple, List] = {}
+    # reduced canonical key -> [first link, its reduction, assignment count]
+    groups: Dict[Tuple, List] = {}
     for combo in itertools.product(*per_vertex):
-        choice = dict(enumerate(combo))
-        link = apply_replacement(g, choice)
+        link = apply_replacement(g, dict(enumerate(combo)))
         if not link.crossings and link.loops == 0:
             continue
-        fp = fingerprint(link)
-        key = fp.sort_key()
-        reduced_key = reduce_diagram(link).canonical_key()
-        if key in found:
-            entry = found[key]
-            entry[2] += 1
-            if entry[3] is not None and reduced_key != entry[3]:
-                log.warning(
-                    "fingerprint collision: distinct reduced diagrams share %s", fp
-                )
-                entry[3] = None
-        else:
-            found[key] = [fp, link, 1, reduced_key]
-    members = tuple(
-        FamilyMember(diagram=v[1], fingerprint=v[0], multiplicity=v[2])
-        for _, v in sorted(found.items())
-    )
-    return LinkFamily(source=g, assignments=n, members=members)
+        reduced = reduce_diagram(link)
+        groups.setdefault(reduced.canonical_key(), [link, reduced, 0])[2] += 1
+    # fingerprint sort key -> [(fingerprint, first link, count)] per group
+    merged: Dict[Tuple, List[Tuple[Fingerprint, GraphDiagram, int]]] = {}
+    for link, reduced, count in groups.values():
+        fp = fingerprint(reduced)
+        merged.setdefault(fp.sort_key(), []).append((fp, link, count))
+    members = []
+    for _, parts in sorted(merged.items()):
+        fp, link, _ = parts[0]
+        if len(parts) > 1:
+            log.warning("fingerprint collision: distinct reduced diagrams share %s", fp)
+        members.append(
+            FamilyMember(diagram=link, fingerprint=fp, multiplicity=sum(p[2] for p in parts))
+        )
+    return LinkFamily(source=g, assignments=n, members=tuple(members))

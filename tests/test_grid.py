@@ -30,7 +30,6 @@ from graphhom.grid import (
     find_destabilization,
     grid_to_diagram,
     grid_union,
-    link_evidence,
     pd_to_grid,
     piece_grids,
     reverse,
@@ -40,7 +39,7 @@ from graphhom.grid import (
     mirror_grid,
     transpose,
 )
-from graphhom.invariants import reverse_component
+from graphhom.invariants import fingerprint, reverse_component
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
 
@@ -76,7 +75,7 @@ def test_single_letter_braid_grid_frozen():
     assert (g.n, g.X, g.O) == (5, (0, 1, 2, 3, 4), (4, 3, 0, 2, 1))
     d = grid_to_diagram(g)
     assert len(d.crossings) == 1 and d.crossing_sign(0) == 1
-    assert link_evidence(d) == link_evidence(unknot())
+    assert fingerprint(d) == fingerprint(unknot())
 
 
 def test_negative_letter_gives_negative_crossing():
@@ -96,19 +95,19 @@ def test_unknot_converts_to_minimal_grid():
 def test_conversion_round_trip(make):
     d = make()
     g = pd_to_grid(d)
-    assert link_evidence(grid_to_diagram(g)) == link_evidence(d)
+    assert fingerprint(grid_to_diagram(g)) == fingerprint(d)
 
 
 def test_chirality_survives_conversion():
     r = grid_to_diagram(pd_to_grid(trefoil_right()))
     l = grid_to_diagram(pd_to_grid(trefoil_left()))
-    assert link_evidence(r) != link_evidence(l)
+    assert fingerprint(r) != fingerprint(l)
 
 
 def test_antiparallel_clasp_needs_pokes_and_round_trips():
     d = reverse_component(hopf_positive(), 1)
     g = pd_to_grid(d)
-    assert link_evidence(grid_to_diagram(g)) == link_evidence(d)
+    assert fingerprint(grid_to_diagram(g)) == fingerprint(d)
 
 
 def test_composite_diagrams_round_trip():
@@ -116,7 +115,7 @@ def test_composite_diagrams_round_trip():
         connected_sum(trefoil_right(), trefoil_right()),
         disjoint_union(unknot(), trefoil_right()),
     ):
-        assert link_evidence(grid_to_diagram(pd_to_grid(d))) == link_evidence(d)
+        assert fingerprint(grid_to_diagram(pd_to_grid(d))) == fingerprint(d)
 
 
 # Census links by name, with the number of split pieces each has.
@@ -158,7 +157,7 @@ def test_braid_word_recovers_torus_words():
 
 def test_braid_word_closure_matches_figure_eight():
     word, strands = braid_word(figure_eight())
-    assert link_evidence(braid_closure(word, strands)) == link_evidence(figure_eight())
+    assert fingerprint(braid_closure(word, strands)) == fingerprint(figure_eight())
 
 
 def test_braid_word_needs_crossings():
@@ -173,21 +172,21 @@ def test_pd_to_grid_rejects_graphs():
 
 def test_translations_preserve_link():
     g = pd_to_grid(figure_eight())
-    want = link_evidence(figure_eight())
+    want = fingerprint(figure_eight())
     for dr, dc in ((1, 0), (0, 1), (3, 7), (9, 9)):
-        assert link_evidence(grid_to_diagram(translate(g, dr, dc))) == want
+        assert fingerprint(grid_to_diagram(translate(g, dr, dc))) == want
 
 
 def test_transpose_preserves_link():
     g = pd_to_grid(trefoil_right())
-    assert link_evidence(grid_to_diagram(transpose(g))) == link_evidence(
+    assert fingerprint(grid_to_diagram(transpose(g))) == fingerprint(
         trefoil_right()
     )
 
 
 def test_mirror_grid_presents_mirror():
     g = pd_to_grid(trefoil_right())
-    assert link_evidence(grid_to_diagram(mirror_grid(g))) == link_evidence(
+    assert fingerprint(grid_to_diagram(mirror_grid(g))) == fingerprint(
         trefoil_left()
     )
 
@@ -195,7 +194,7 @@ def test_mirror_grid_presents_mirror():
 def test_reverse_presents_reversed_orientation():
     d = hopf_positive()
     g = pd_to_grid(d)
-    assert link_evidence(grid_to_diagram(reverse(g))) == link_evidence(d.reverse())
+    assert fingerprint(grid_to_diagram(reverse(g))) == fingerprint(d.reverse())
 
 
 @pytest.mark.parametrize("down", [True, False])
@@ -204,7 +203,7 @@ def test_stabilize_variants(down, right):
     g = pd_to_grid(trefoil_right())
     st = stabilize(g, 2, down, right)
     assert st.n == g.n + 1
-    assert link_evidence(grid_to_diagram(st)) == link_evidence(trefoil_right())
+    assert fingerprint(grid_to_diagram(st)) == fingerprint(trefoil_right())
     assert find_destabilization(st) is not None
 
 
@@ -225,7 +224,7 @@ def test_commutation_legality():
     g = GridDiagram(4, (0, 2, 1, 3), (3, 0, 2, 1))
     swapped = commute_rows(g, 1)
     if swapped is not None:
-        assert link_evidence(grid_to_diagram(swapped)) == link_evidence(
+        assert fingerprint(grid_to_diagram(swapped)) == fingerprint(
             grid_to_diagram(g)
         )
     lo, hi = sorted((g.X[1], g.O[1]))
@@ -238,7 +237,7 @@ def test_commutation_legality():
 def test_commutations_preserve_link_randomized():
     rng = random.Random(5)
     g = pd_to_grid(figure_eight())
-    want = link_evidence(figure_eight())
+    want = fingerprint(figure_eight())
     for _ in range(12):
         moves = [commute_rows(g, r) for r in range(g.n - 1)]
         moves += [commute_cols(g, c) for c in range(g.n - 1)]
@@ -246,7 +245,7 @@ def test_commutations_preserve_link_randomized():
         if not legal:
             break
         g = rng.choice(legal)
-        assert link_evidence(grid_to_diagram(g)) == want
+        assert fingerprint(grid_to_diagram(g)) == want
 
 
 @pytest.mark.parametrize(
@@ -260,7 +259,7 @@ def test_simplify_reaches_known_sizes(make, start, end):
     assert g.n == start
     s = simplify_grid(g)
     assert s.n == end
-    assert link_evidence(grid_to_diagram(s)) == link_evidence(d)
+    assert fingerprint(grid_to_diagram(s)) == fingerprint(d)
 
 
 def test_simplify_never_grows():
@@ -272,7 +271,7 @@ def test_simplify_never_grows():
         )
     s = simplify_grid(g)
     assert s.n <= g.n
-    assert link_evidence(grid_to_diagram(s)) == link_evidence(hopf_negative())
+    assert fingerprint(grid_to_diagram(s)) == fingerprint(hopf_negative())
 
 
 def test_stabilized_three_by_three_simplifies_to_two():

@@ -188,6 +188,26 @@ def test_fingerprint_json_shape():
     assert blob["components"] == 1
 
 
+def test_fingerprint_repr():
+    # the collision warning in family() prints this text
+    fp = fingerprint(catalog.hopf_negative())
+    assert repr(fp) == (
+        f"Fingerprint(components=2, jones={fp.jones!r}, alexander={fp.alexander!r})"
+    )
+
+
+def test_fingerprint_orientation_cap():
+    # one component stays pinned, so six Hopf components reorient five
+    # and eight would reorient seven, past ORIENTATION_FLIP_CAP
+    hopf = catalog.hopf_negative()
+    six = disjoint_union(hopf, disjoint_union(hopf, hopf))
+    assert fingerprint(six).components == 6
+    eight = disjoint_union(six, hopf)
+    assert eight.split_components()[0] == 8
+    with pytest.raises(CapExceeded):
+        fingerprint(eight)
+
+
 def test_link_only_guards():
     theta = catalog.theta()
     with pytest.raises(InvalidDiagram):

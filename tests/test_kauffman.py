@@ -1,7 +1,12 @@
 """Replacement enumeration against the worked handcuff/theta examples
 and the family's invariance under diagram moves."""
 
+import itertools
+import logging
+
 import pytest
+
+from graphhom import kauffman
 
 from graphhom.catalog import (
     handcuff,
@@ -12,9 +17,9 @@ from graphhom.catalog import (
     unknot,
     unlink,
 )
-from graphhom.diagrams import GraphDiagram
+from graphhom.diagrams import GraphDiagram, connected_sum
 from graphhom.errors import CapExceeded, InvalidDiagram
-from graphhom.invariants import fingerprint
+from graphhom.invariants import Fingerprint, fingerprint
 from graphhom.kauffman import (
     apply_replacement,
     assignment_count,
@@ -30,6 +35,23 @@ FP_HOPF = fingerprint(hopf_negative())
 
 def by_fingerprint(fam):
     return {m.fingerprint: m.multiplicity for m in fam.members}
+
+
+def g6():
+    """The fixed benchmark graph G6: six trivalent vertices, 729
+    assignments, eight distinct members."""
+    g = connected_sum(hopf_handcuff(), connected_sum(theta(), hopf_handcuff()))
+    return random_move_sequence(g, count=10, seed=3, kinds={"R4", "R5"})[0]
+
+
+def nonempty_links(g):
+    """The replacement links of every assignment, in product order,
+    with the empty ones dropped."""
+    per_vertex = [vertex_choices(len(v)) or [None] for v in g.vertices]
+    for combo in itertools.product(*per_vertex):
+        link = apply_replacement(g, dict(enumerate(combo)))
+        if link.crossings or link.loops:
+            yield link
 
 
 def test_vertex_choices_counts():
@@ -150,3 +172,48 @@ def test_family_fingerprints_invariant_under_moves(make):
         moved, applied = random_move_sequence(g, 8, seed)
         assert applied
         assert [m.fingerprint for m in family(moved).members] == base
+
+
+@pytest.mark.parametrize("make", [handcuff, hopf_handcuff, theta, g6])
+def test_family_matches_per_assignment_fingerprints(make):
+    g = make()
+    first, counts = {}, {}
+    for link in nonempty_links(g):
+        fp = fingerprint(link)
+        first.setdefault(fp, link)
+        counts[fp] = counts.get(fp, 0) + 1
+    fam = family(g)
+    assert [m.fingerprint for m in fam.members] == sorted(first, key=Fingerprint.sort_key)
+    for m in fam.members:
+        assert m.multiplicity == counts[m.fingerprint]
+        assert m.diagram.to_json() == first[m.fingerprint].to_json()
+
+
+def test_g6_fingerprints_each_reduced_diagram_once(monkeypatch):
+    calls = []
+
+    def counted(d):
+        calls.append(d)
+        return fingerprint(d)
+
+    monkeypatch.setattr(kauffman, "fingerprint", counted)
+    g = g6()
+    fam = family(g)
+    assert sum(1 for _ in nonempty_links(g)) == 601
+    assert sum(m.multiplicity for m in fam.members) == 601
+    assert len(calls) == len(fam.members) == 8
+
+
+def test_fingerprint_collision_merges_and_warns_once(monkeypatch, caplog):
+    g = hopf_handcuff()
+    monkeypatch.setattr(kauffman, "fingerprint", lambda d: FP_UNKNOT)
+    with caplog.at_level(logging.WARNING, logger=kauffman.__name__):
+        fam = family(g)
+    links = list(nonempty_links(g))
+    assert len(fam.members) == 1
+    (m,) = fam.members
+    assert m.fingerprint == FP_UNKNOT
+    assert m.multiplicity == len(links)
+    assert m.diagram.to_json() == links[0].to_json()
+    collisions = [r for r in caplog.records if "fingerprint collision" in r.getMessage()]
+    assert len(collisions) == 1
