@@ -35,9 +35,6 @@ class BigradedDims:
     def of_ranks(ranks: Dict[Bigrading, int]) -> "BigradedDims":
         return BigradedDims({k: (r, ()) for k, r in ranks.items()})
 
-    def rank_at(self, key: Bigrading) -> int:
-        return self.dims.get(key, (0, ()))[0]
-
     def total_rank(self) -> int:
         return sum(r for r, _ in self.dims.values())
 

@@ -524,7 +524,11 @@ def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
     Piece words short enough to afford a bracket computation are checked
     against the input by fingerprint before use: a bracket over 2^c
     smoothing states costs what a Khovanov cube of c crossings does, so
-    the Khovanov crossing cap bounds the word length checked.
+    the Khovanov crossing cap bounds the word length checked.  A
+    fingerprint takes one bracket for all orientations of the link, with
+    the states counted by smoothing and circle number, so checking a
+    word costs two brackets (closure and piece) whatever the component
+    count.
     """
     if not d.is_link():
         raise InvalidDiagram(["grid conversion expects a link diagram"])

@@ -9,6 +9,7 @@ on the diagram plumbing.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -49,36 +50,42 @@ def smoothing_circles(d: GraphDiagram) -> Iterator[Dict[int, int]]:
 
 
 def kauffman_bracket(d: GraphDiagram, cap: int = BRACKET_CROSSING_CAP) -> Laurent:
-    """State sum over all smoothings; unoriented, unnormalized, <o> = 1."""
+    """State sum over all smoothings; unoriented, unnormalized, <o> = 1.
+
+    A state with b B-smoothings and k circles contributes
+    A^(c - 2b) (-A^2 - A^-2)^(k - 1), so states are counted by (b, k)
+    and each distinct pair costs one Laurent term."""
     if not d.is_link():
         raise InvalidDiagram(["bracket is defined for link diagrams"])
     c = len(d.crossings)
     if c > cap:
         raise CapExceeded(f"bracket state sum over {c} crossings exceeds cap {cap}")
-    out = Laurent.zero(A)
+    counts: Counter = Counter()
     for state, circle in enumerate(smoothing_circles(d)):
-        circles = len(set(circle.values())) + d.loops
-        b = bin(state).count("1")
-        sigma = (c - b) - b
-        term = Laurent.term(A, (2 * sigma,)) * DELTA ** (circles - 1)
-        out = out + term
+        counts[state.bit_count(), len(set(circle.values()))] += 1
+    out = Laurent.zero(A)
+    for (b, circles), count in counts.items():
+        term = Laurent.term(A, (2 * (c - 2 * b),), count)
+        out = out + term * DELTA ** (circles + d.loops - 1)
     return out
 
 
-def jones(d: GraphDiagram) -> Laurent:
-    """(-A^3)^(-w) <D> under A = t^(-1/4); half-integer powers of t occur
-    exactly for even component counts."""
-    bracket = kauffman_bracket(d)
-    w = d.writhe()
-    correction = Laurent(A, {(-6 * w,): (-1) ** (w % 2)})
-    normalized = correction * bracket
+def _jones_from_bracket(bracket: Laurent, writhe: int) -> Laurent:
+    """(-A^3)^(-w) <D> under A = t^(-1/4)."""
+    correction = Laurent(A, {(-6 * writhe,): (-1) ** (writhe % 2)})
     terms: Dict[Tuple[int, ...], int] = {}
-    for (m,), coeff in normalized.terms.items():
+    for (m,), coeff in (correction * bracket).terms.items():
         k = m // 2  # true A exponent; always even after normalization
         if k % 2:
             raise InvalidDiagram([f"bracket exponent {k} not expressible in t"])
         terms[(-k // 2,)] = terms.get((-k // 2,), 0) + coeff
     return Laurent(T, terms)
+
+
+def jones(d: GraphDiagram) -> Laurent:
+    """(-A^3)^(-w) <D> under A = t^(-1/4); half-integer powers of t occur
+    exactly for even component counts."""
+    return _jones_from_bracket(kauffman_bracket(d), d.writhe())
 
 
 # -- greedy reduction ---------------------------------------------------------
@@ -282,19 +289,22 @@ def fingerprint(d: GraphDiagram) -> Fingerprint:
     """Fingerprint of the reduced diagram, reoriented to minimize the
     (Jones, Alexander) sort keys.  Global reversal fixes both polynomials,
     so one component stays pinned; the result does not depend on how an
-    unoriented link happened to be oriented on arrival."""
+    unoriented link happened to be oriented on arrival.  Reversing a
+    component keeps every smoothing, so one bracket serves all
+    orientations; only the writhe changes."""
     reduced = reduce_diagram(d)
     ncomp, labels = reduced.split_components()
     flippable = sorted(set(labels.values()))[1:]
     if len(flippable) > ORIENTATION_FLIP_CAP:
         raise CapExceeded(f"{len(flippable) + 1} components exceed the orientation cap")
+    bracket = kauffman_bracket(reduced)
     best = None
     for mask in range(1 << len(flippable)):
         cur = reduced
         for bit, comp in enumerate(flippable):
             if mask >> bit & 1:
                 cur = reverse_component(cur, comp)
-        j, a = jones(cur), alexander(cur)
+        j, a = _jones_from_bracket(bracket, cur.writhe()), alexander(cur)
         key = (j.sort_key(), a.sort_key())
         if best is None or key < best[0]:
             best = (key, j, a)

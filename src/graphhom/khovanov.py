@@ -51,9 +51,6 @@ class ResolutionCube:
     circles: Tuple[Tuple[int, ...], ...]
     arc_circle: Tuple[Dict[int, int], ...]
 
-    def circle_count(self, state: int) -> int:
-        return len(self.circles[state])
-
     def edges(self) -> Iterator[Tuple[int, int, int]]:
         """Yield (state, flipped coordinate, sign) for every cube edge."""
         c = len(self.diagram.crossings)

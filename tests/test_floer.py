@@ -1,7 +1,11 @@
 """Grid homology: frozen small tables, Euler identities, and the
 structural symmetries (duality, reversal, unions, sums)."""
 
+import json
 import random
+from collections import Counter
+from importlib import resources
+from itertools import permutations
 
 import pytest
 
@@ -15,12 +19,11 @@ from graphhom.catalog import (
     unknot,
     unlink,
 )
-from graphhom.diagrams import connected_sum, disjoint_union
-from graphhom import linalg
+from graphhom.diagrams import GraphDiagram, connected_sum, disjoint_union
+from graphhom import floer, linalg
 from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.floer import (
     euler_matches_skein,
-    gradings,
     hat_euler,
     hat_from_grid,
     hfk_hat,
@@ -56,6 +59,139 @@ def random_grid(rng, n):
         rng.shuffle(os_)
         if all(a != b for a, b in zip(xs, os_)):
             return GridDiagram(n, tuple(xs), tuple(os_))
+
+
+# -- slow reference kernel ----------------------------------------------------
+# The grid complex as first written: gradings by O(n^2) pair counts per
+# generator, rectangles by a loop over row pairs that scans each
+# rectangle's interior rows.  ``floer._complex`` must agree with it.
+
+
+def _dominated(pts_a, pts_b):
+    """Count pairs (a, b) with a strictly southwest of b."""
+    total = 0
+    for ax, ay in pts_a:
+        for bx, by in pts_b:
+            if ax < bx and ay < by:
+                total += 1
+    return total
+
+
+def _generator_points(x):
+    return [(2 * c, 2 * r) for r, c in enumerate(x)]
+
+
+def _marker_points(cols):
+    # Markers sit in cell centers, offset northeast of the lattice point
+    # sharing their indices.
+    return [(2 * c + 1, 2 * r + 1) for r, c in enumerate(cols)]
+
+
+def gradings(g, x):
+    """Doubled (Maslov, Alexander) gradings of one generator."""
+    n, ell = g.n, g.component_count()
+    pts = _generator_points(x)
+    xpts = _marker_points(g.X)
+    opts = _marker_points(g.O)
+    i_xx = _dominated(xpts, xpts)
+    i_oo = _dominated(opts, opts)
+    i_gg = _dominated(pts, pts)
+    j2_go = _dominated(pts, opts) + _dominated(opts, pts)
+    j2_gx = _dominated(pts, xpts) + _dominated(xpts, pts)
+    m2 = 2 * (i_gg - j2_go + i_oo + 1) + (ell - 1)
+    a2 = j2_gx - j2_go - i_xx + i_oo - (n - ell)
+    return m2, a2
+
+
+def reference_edges(g, block_x):
+    """Rectangle edges (i, j) reduced mod 2, by the row-pair loop."""
+    n = g.n
+    gens = list(permutations(range(n)))
+    blocked = floer._cell_masks(n, g.O)
+    if block_x:
+        xmasks = floer._cell_masks(n, g.X)
+        blocked = [
+            [bo | bx for bo, bx in zip(ro, rx)] for ro, rx in zip(blocked, xmasks)
+        ]
+    cols = floer._cell_masks(n, range(n))
+    gidx = {x: i for i, x in enumerate(gens)}
+    parity = Counter()
+    for ix, x in enumerate(gens):
+        for r1 in range(n):
+            for r2 in range(r1 + 1, n):
+                y = list(x)
+                y[r1], y[r2] = y[r2], y[r1]
+                iy = gidx[tuple(y)]
+                for ra, rb in ((r1, r2), (r2, r1)):
+                    ca, cb = x[ra], x[rb]
+                    length = (rb - ra) % n
+                    width = (cb - ca) % n
+                    if blocked[ra][length] & cols[ca][width]:
+                        continue
+                    inner = cols[(ca + 1) % n][width - 1]
+                    if any((1 << x[(ra + i) % n]) & inner for i in range(1, length)):
+                        continue
+                    parity[ix, iy] ^= 1
+    return {pair for pair, bit in parity.items() if bit}
+
+
+def mod2_edges(edges):
+    parity = Counter()
+    for i, j, coeff in edges:
+        parity[i, j] ^= coeff % 2
+    return {pair for pair, bit in parity.items() if bit}
+
+
+def census_grid(name):
+    text = (resources.files("graphhom.census") / f"{name}.diagram.json").read_text("utf-8")
+    return simplify_grid(pd_to_grid(GraphDiagram.from_json(json.loads(text))))
+
+
+CENSUS_LINKS = [
+    "figure_eight",
+    "hopf_negative",
+    "hopf_positive",
+    "trefoil_left",
+    "trefoil_right",
+    "unknot",
+    "unlink2",
+]
+
+
+def _oracle_grids():
+    census = [pytest.param(census_grid(name), id=name) for name in CENSUS_LINKS]
+    rng = random.Random(41)
+    stabilized = []
+    for name in CENSUS_LINKS:
+        g = census_grid(name)
+        if g.n <= 5:
+            down, right = rng.random() < 0.5, rng.random() < 0.5
+            stab = stabilize(g, rng.randrange(g.n), down=down, right=right)
+            stabilized.append(pytest.param(stab, id=f"{name}-stabilized"))
+    randoms = [
+        pytest.param(random_grid(rng, n), id=f"random{n}-{k}")
+        for n in range(2, 7)
+        for k in range(2)
+    ]
+    return census + stabilized + randoms
+
+
+ORACLE_GRIDS = _oracle_grids()
+
+
+@pytest.mark.parametrize("block_x", [True, False], ids=["tilde", "total"])
+@pytest.mark.parametrize("g", ORACLE_GRIDS)
+def test_complex_gradings_match_reference(g, block_x):
+    grads, _edges = floer._complex(g, block_x)
+    gens = list(permutations(range(g.n)))
+    assert grads == [gradings(g, x) for x in gens]
+
+
+@pytest.mark.parametrize("block_x", [True, False], ids=["tilde", "total"])
+@pytest.mark.parametrize("g", ORACLE_GRIDS)
+def test_complex_edges_match_reference(g, block_x):
+    _grads, edges = floer._complex(g, block_x)
+    assert mod2_edges(edges) == reference_edges(g, block_x)
 
 
 def test_two_by_two_gradings_multiset():

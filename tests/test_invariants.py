@@ -4,6 +4,9 @@ Expected values are the standard table entries for the small knots and
 links in the catalog, written out as explicit coefficient dictionaries.
 """
 
+import json
+from importlib import resources
+
 import pytest
 
 from graphhom import catalog
@@ -11,6 +14,8 @@ from graphhom.diagrams import GraphDiagram, disjoint_union, connected_sum
 from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.invariants import (
     A,
+    DELTA,
+    ORIENTATION_FLIP_CAP,
     alexander,
     conway,
     determinant,
@@ -18,6 +23,8 @@ from graphhom.invariants import (
     jones,
     kauffman_bracket,
     reduce_diagram,
+    reverse_component,
+    smoothing_circles,
 )
 from graphhom.laurent import Laurent, T, Z
 
@@ -46,6 +53,123 @@ def test_bracket_hopf():
 def test_bracket_cap():
     with pytest.raises(CapExceeded):
         kauffman_bracket(catalog.trefoil_right(), cap=2)
+
+
+# -- bracket by state counts against the per-state sum -------------------------
+
+
+def reference_bracket(d):
+    """The bracket as first written: one Laurent term per smoothing state."""
+    c = len(d.crossings)
+    out = Laurent.zero(A)
+    for state, circle in enumerate(smoothing_circles(d)):
+        circles = len(set(circle.values())) + d.loops
+        b = bin(state).count("1")
+        sigma = (c - b) - b
+        out = out + Laurent.term(A, (2 * sigma,)) * DELTA ** (circles - 1)
+    return out
+
+
+def census_link(name):
+    text = (resources.files("graphhom.census") / f"{name}.diagram.json").read_text("utf-8")
+    return GraphDiagram.from_json(json.loads(text))
+
+
+CENSUS_LINKS = [
+    "figure_eight",
+    "hopf_negative",
+    "hopf_positive",
+    "trefoil_left",
+    "trefoil_right",
+    "unknot",
+    "unlink2",
+]
+
+BRAIDS = [
+    ([1], 2),
+    ([1] * 4, 2),
+    ([1] * 7, 2),
+    ([1, -2] * 3, 3),
+    ([1, -2] * 5, 3),
+    ([1, 2] * 4, 3),
+    ([1, 1, 1, 2, -1, 2], 3),
+    ([1, 1, 1, -2, 1, -2, -2, -2], 3),
+    ([1, -2, 3, 1, -2, 3, -1, 2, -3, 2], 4),
+]
+
+
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(census_link(name), id=name) for name in CENSUS_LINKS]
+    + [
+        pytest.param(
+            catalog.braid_closure(word, strands),
+            id="braid(" + ",".join(map(str, word)) + ")",
+        )
+        for word, strands in BRAIDS
+    ],
+)
+def test_bracket_matches_per_state_sum(d):
+    assert len(d.crossings) <= 10
+    assert kauffman_bracket(d) == reference_bracket(d)
+
+
+# Links of 2 or 3 components; the closure of (s1 s2^-1)^3 is the
+# Borromean rings.
+HOPF = catalog.hopf_positive()
+BORROMEAN = catalog.braid_closure([1, -2] * 3, 3)
+T24 = catalog.braid_closure([1] * 4, 2)
+HOPF_TREFOIL = disjoint_union(catalog.hopf_positive(), catalog.trefoil_right())
+
+
+@pytest.mark.parametrize(
+    "d", [HOPF, BORROMEAN, HOPF_TREFOIL], ids=["hopf", "borromean", "hopf+trefoil"]
+)
+def test_bracket_ignores_component_orientation(d):
+    # One bracket per fingerprint rests on this: reversing a component
+    # changes the writhe, never the smoothings.
+    ncomp, labels = d.split_components()
+    assert ncomp >= 2
+    for comp in sorted(set(labels.values())):
+        flipped = reverse_component(d, comp)
+        assert flipped.heads != d.heads
+        assert kauffman_bracket(flipped) == kauffman_bracket(d)
+
+
+def reference_fingerprint(d):
+    """Fingerprint as first written: one Jones polynomial, hence one
+    bracket, per orientation."""
+    reduced = reduce_diagram(d)
+    ncomp, labels = reduced.split_components()
+    flippable = sorted(set(labels.values()))[1:]
+    assert len(flippable) <= ORIENTATION_FLIP_CAP
+    best = None
+    for mask in range(1 << len(flippable)):
+        cur = reduced
+        for bit, comp in enumerate(flippable):
+            if mask >> bit & 1:
+                cur = reverse_component(cur, comp)
+        j, a = jones(cur), alexander(cur)
+        key = (j.sort_key(), a.sort_key())
+        if best is None or key < best[0]:
+            best = (key, j, a)
+    _, j, a = best
+    return (ncomp, j, a)
+
+
+@pytest.mark.parametrize(
+    "d, reorients",
+    [(BORROMEAN, False), (T24, True), (HOPF_TREFOIL, True)],
+    ids=["borromean", "T(2,4)", "hopf+trefoil"],
+)
+def test_fingerprint_matches_jones_per_orientation(d, reorients):
+    # Where the orientations disagree on Jones, the writhe renormalization
+    # of the shared bracket decides the minimum; the Borromean rings have
+    # linking numbers 0, so reversing a component fixes their Jones.
+    reduced = reduce_diagram(d)
+    assert (jones(reverse_component(reduced, 1)) != jones(reduced)) == reorients
+    fp = fingerprint(d)
+    assert (fp.components, fp.jones, fp.alexander) == reference_fingerprint(d)
 
 
 def test_jones_unknot_and_kinks():
