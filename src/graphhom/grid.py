@@ -105,16 +105,6 @@ def transpose(g: GridDiagram) -> GridDiagram:
     return GridDiagram(g.n, tuple(xs), tuple(os_))
 
 
-def mirror_grid(g: GridDiagram) -> GridDiagram:
-    """Reflect across a vertical line; presents the mirror link."""
-    m = g.n - 1
-    return GridDiagram(
-        g.n,
-        tuple(m - c for c in g.X),
-        tuple(m - c for c in g.O),
-    )
-
-
 def reverse(g: GridDiagram) -> GridDiagram:
     """Swap marker roles, reversing the orientation of every component."""
     return GridDiagram(g.n, g.O, g.X)

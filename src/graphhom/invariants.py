@@ -57,6 +57,8 @@ def kauffman_bracket(d: GraphDiagram, cap: int = BRACKET_CROSSING_CAP) -> Lauren
     and each distinct pair costs one Laurent term."""
     if not d.is_link():
         raise InvalidDiagram(["bracket is defined for link diagrams"])
+    if not d.crossings and not d.loops:
+        raise InvalidDiagram(["bracket is defined for diagrams with at least one component"])
     c = len(d.crossings)
     if c > cap:
         raise CapExceeded(f"bracket state sum over {c} crossings exceeds cap {cap}")

@@ -5,6 +5,14 @@ the (i, j) entry.  Integer matrices are dense lists of lists.  Both stay
 exact; nothing here floats.  ``block_homology`` takes the homology of a
 block-graded chain complex over either ring; both homology flavors of
 the package go through it.
+
+Differentials are mostly zeros, so the integer loops that run per
+entry skip them: the d∘d check multiplies over each row's nonzero
+entries, and the Smith form eliminates over the pivot row's nonzero
+columns, clears that row with one remainder per nonzero entry, and
+passes over zero rows in its pivot search.  The matrices themselves
+stay dense, and so do the pivot search within a nonzero row and the
+divisibility scan after a non-unit pivot.
 """
 
 from __future__ import annotations
@@ -72,12 +80,42 @@ def int_is_zero(rows: Sequence[Sequence[int]]) -> bool:
     return all(v == 0 for row in rows for v in row)
 
 
+def _sparse_int_mul(
+    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
+) -> List[List[int]]:
+    """Product of dense matrices by one pass over each row's nonzero
+    entries.  Row i of the result lists the entries it reached, zeros
+    from cancellation included, without their columns."""
+    b_support = [[(k, w) for k, w in enumerate(row) if w] for row in b]
+    out = []
+    for row in a:
+        acc: Dict[int, int] = {}
+        for j, v in enumerate(row):
+            if v:
+                for k, w in b_support[j]:
+                    acc[k] = acc.get(k, 0) + v * w
+        out.append(list(acc.values()))
+    return out
+
+
 def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
     """Nonzero diagonal of the Smith normal form, d1 | d2 | ... | dr.
 
     Smallest-pivot elimination with integer row and column operations.
     The length of the result is the rank; entries greater than one are
     the torsion coefficients when the matrix presents a cokernel.
+
+    Rows above step t are zero from column t on, so the pivot search
+    starts at row t and passes over each row that is zero from column t
+    on with one ``any``, and a column swap touches rows t and below.
+    Each step lists the pivot row's nonzero columns once and eliminates
+    the rows below over those columns only.  Once column t is zero below
+    the pivot, a column operation on column t changes row t alone, so
+    clearing row t is one remainder per nonzero entry.  A leftover entry,
+    from either pass, is smaller than the pivot and becomes the next
+    pivot when the step is redone.  Only a non-unit pivot needs the scan
+    of the trailing block for an entry it does not divide: a ±1 pivot
+    divides everything.
     """
     m = [list(row) for row in matrix]
     nrows = len(m)
@@ -89,6 +127,8 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
         best = 0
         for i in range(t, nrows):
             row = m[i]
+            if not any(row[t:]):
+                continue
             for j in range(t, ncols):
                 v = abs(row[j])
                 if v and (best == 0 or v < best):
@@ -102,48 +142,47 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
         if pr != t:
             m[t], m[pr] = m[pr], m[t]
         if pc != t:
-            for row in m:
+            for row in m[t:]:
                 row[t], row[pc] = row[pc], row[t]
 
-        pivot = m[t][t]
+        rt = m[t]
+        pivot = rt[t]
+        support = [k for k in range(t, ncols) if rt[k]]
         clean = True
         for i in range(t + 1, nrows):
-            v = m[i][t]
+            ri = m[i]
+            v = ri[t]
             if v:
                 q = v // pivot
                 if q:
-                    ri, rt = m[i], m[t]
-                    for k in range(t, ncols):
+                    for k in support:
                         ri[k] -= q * rt[k]
-                if m[i][t]:
+                if ri[t]:
                     clean = False
         if not clean:
             continue
-        for j in range(t + 1, ncols):
-            v = m[t][j]
-            if v:
-                q = v // pivot
-                if q:
-                    for i in range(t, nrows):
-                        m[i][j] -= q * m[i][t]
-                if m[t][j]:
-                    clean = False
+        for j in support[1:]:
+            rt[j] %= pivot
+            if rt[j]:
+                clean = False
         if not clean:
             continue
 
-        # Pivot must divide every remaining entry for the divisibility
-        # chain; fold an offending row into row t and redo this step.
-        offending = -1
-        for i in range(t + 1, nrows):
-            row = m[i]
-            if any(row[j] % pivot for j in range(t + 1, ncols)):
-                offending = i
-                break
-        if offending >= 0:
-            ri, rt = m[offending], m[t]
-            for k in range(t, ncols):
-                rt[k] += ri[k]
-            continue
+        # A non-unit pivot must divide every remaining entry for the
+        # divisibility chain; fold an offending row into row t and redo
+        # this step.
+        if best > 1:
+            offending = -1
+            for i in range(t + 1, nrows):
+                row = m[i]
+                if any(row[j] % pivot for j in range(t + 1, ncols)):
+                    offending = i
+                    break
+            if offending >= 0:
+                ri = m[offending]
+                for k in range(t, ncols):
+                    rt[k] += ri[k]
+                continue
         factors.append(abs(pivot))
         t += 1
     return factors
@@ -197,7 +236,7 @@ def block_homology(
         else:
             rows[pos[i]][pos[j]] += coeff
 
-    mul, is_zero = (f2_mul, f2_is_zero) if f2 else (int_mul, int_is_zero)
+    mul, is_zero = (f2_mul, f2_is_zero) if f2 else (_sparse_int_mul, int_is_zero)
     for k, rows in mats.items():
         nxt = mats.get(targets[k])
         if nxt is not None and not is_zero(mul(rows, nxt)):

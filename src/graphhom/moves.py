@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .diagrams import Dart, Endpoint, GraphDiagram, splice_crossing
 from .errors import PatternMismatch
@@ -491,93 +491,6 @@ def apply_move(d: GraphDiagram, s: MoveSite) -> GraphDiagram:
     """Rewrite d at the given site; PatternMismatch if the site does not
     match its local pattern."""
     return _apply(d, s)
-
-
-def _search_inverse(
-    before: GraphDiagram, after: GraphDiagram, candidates: Sequence[MoveSite]
-) -> MoveSite:
-    key = before.canonical_key()
-    for site in candidates:
-        try:
-            if _apply(after, site).canonical_key() == key:
-                return site
-        except PatternMismatch:
-            continue
-    raise PatternMismatch("no inverse site reproduces the original diagram")
-
-
-def _face_site_kinds(face: Sequence[Dart]) -> set:
-    return {(k, i) for k, i, _ in face}
-
-
-def apply_move_with_inverse(d: GraphDiagram, s: MoveSite) -> Tuple[GraphDiagram, MoveSite]:
-    """Like apply_move, and also a site that provably undoes the move
-    (verified by canonical form)."""
-    if s.kind == "R3":
-        out, inv_dart = _r3(d, *s.params)
-        return out, MoveSite("R3", True, (inv_dart,))
-    out = _apply(d, s)
-    if s.kind == "R1" and s.insert:
-        return out, MoveSite("R1", False, (len(out.crossings) - 1,))
-    if s.kind == "R2" and s.insert:
-        new = {("x", len(out.crossings) - 2), ("x", len(out.crossings) - 1)}
-        cands = [
-            MoveSite("R2", False, (f[0],))
-            for f in out.faces()
-            if len(f) == 2 and _face_site_kinds(f) == new
-        ]
-        return out, _search_inverse(d, out, cands)
-    if s.kind == "R4" and s.insert:
-        corner = s.params[0]
-        return out, MoveSite("R4", False, (corner[1], corner[2]))
-    if s.kind == "R5" and s.insert:
-        corner = s.params[0]
-        target = {("x", len(out.crossings) - 1), ("v", corner[1])}
-        cands = [
-            MoveSite("R5", False, (f[0],))
-            for f in out.faces()
-            if len(f) == 2 and _face_site_kinds(f) == target
-        ]
-        return out, _search_inverse(d, out, cands)
-    if s.kind == "R1":
-        cands = [
-            MoveSite("R1", True, (arc, var))
-            for arc in sorted(out.arc_ids()) + [None]
-            for var in range(4)
-        ]
-        return out, _search_inverse(d, out, cands)
-    if s.kind == "R2":
-        cands = []
-        for f in out.faces():
-            for da in f:
-                for db in f:
-                    if da != db and out.arc_at(da) != out.arc_at(db):
-                        cands.append(MoveSite("R2", True, (da, db, False)))
-                        cands.append(MoveSite("R2", True, (da, db, True)))
-        return out, _search_inverse(d, out, cands)
-    if s.kind == "R4":
-        vi, j = s.params
-        corner = ("v", vi, j)
-        cands = []
-        for f in out.faces():
-            if corner not in f:
-                continue
-            for da in f:
-                if da != corner:
-                    cands.append(MoveSite("R4", True, (corner, da, False)))
-                    cands.append(MoveSite("R4", True, (corner, da, True)))
-        return out, _search_inverse(d, out, cands)
-    if s.kind == "R5":
-        vis = {i for k, i, _ in _orbit_of(d, s.params[0]) if k == "v"}
-        vi = vis.pop()
-        deg = len(out.vertices[vi])
-        cands = [
-            MoveSite("R5", True, (("v", vi, c), over))
-            for c in range(deg)
-            for over in (False, True)
-        ]
-        return out, _search_inverse(d, out, cands)
-    raise PatternMismatch(f"unknown move kind {s.kind!r}")
 
 
 def legal_sites(d: GraphDiagram, kinds: Optional[set] = None) -> List[MoveSite]:

@@ -36,13 +36,13 @@ from graphhom.grid import (
     commute_cols,
     commute_rows,
     grid_union,
-    mirror_grid,
     pd_to_grid,
     reverse,
     simplify_grid,
     stabilize,
 )
 from graphhom.laurent import Laurent, T, U
+from test_grid import mirror_grid
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
 

@@ -36,12 +36,21 @@ from graphhom.grid import (
     simplify_grid,
     stabilize,
     translate,
-    mirror_grid,
     transpose,
 )
 from graphhom.invariants import fingerprint, reverse_component
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
+
+
+def mirror_grid(g):
+    """Reflect across a vertical line; presents the mirror link."""
+    m = g.n - 1
+    return GridDiagram(
+        g.n,
+        tuple(m - c for c in g.X),
+        tuple(m - c for c in g.O),
+    )
 
 
 def test_validation_rejects_small_and_malformed():

@@ -340,3 +340,12 @@ def test_link_only_guards():
         conway(theta)
     with pytest.raises(InvalidDiagram):
         determinant(theta)
+
+
+@pytest.mark.parametrize("invariant", [kauffman_bracket, jones, fingerprint])
+def test_empty_diagram_is_invalid(invariant):
+    # No crossings and no loops is a link diagram of zero components:
+    # the bracket's normalization <o> = 1 has no circle to stand on.
+    empty = GraphDiagram.from_json({"crossings": [], "loops": 0})
+    with pytest.raises(InvalidDiagram, match="at least one component"):
+        invariant(empty)

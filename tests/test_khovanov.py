@@ -20,6 +20,7 @@ from graphhom.catalog import (
 )
 from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.graph_homology import SKIP_CROSSINGS, graph_homology
+from graphhom.invariants import reduce_diagram
 from graphhom.khovanov import (
     build_cube,
     graded_euler,
@@ -27,6 +28,7 @@ from graphhom.khovanov import (
     unnormalized_jones,
 )
 from graphhom.moves import random_move_sequence
+from test_acceptance import CENSUS_LINKS, _randomized_links
 
 
 def doubled(table):
@@ -161,9 +163,10 @@ def test_vertex_diagram_rejected():
 )
 def test_f2_dominates_z(make):
     d = make()
-    z = khovanov_homology(d, "z")
-    f2 = khovanov_homology(d, "f2")
+    assert_universal_coefficients(khovanov_homology(d, "z"), khovanov_homology(d, "f2"))
 
+
+def assert_universal_coefficients(z, f2):
     def even_torsion(key):
         return sum(1 for order in z.dims.get(key, (0, ()))[1] if order % 2 == 0)
 
@@ -177,6 +180,25 @@ def test_f2_dominates_z(make):
             + even_torsion((i2 + 2, j2))
         )
         assert f2.dims.get((i2, j2), (0, ()))[0] == want, (i2, j2)
+
+
+def test_universal_coefficients_on_census_and_randomized_pool():
+    # The census links and criterion 3's randomized pool, reduced as
+    # criterion 3 reduces them.
+    diagrams = [make() for make in CENSUS_LINKS.values()] + _randomized_links()
+    for d in diagrams:
+        r = reduce_diagram(d)
+        assert_universal_coefficients(khovanov_homology(r, "z"), khovanov_homology(r, "f2"))
+    assert len(diagrams) >= 27
+
+
+def test_reach_ten_crossings_over_z():
+    # The closure of (σ1σ2⁻¹)⁵: 10 crossings, 1024 cube states.
+    d = braid_closure([1, -2] * 5, 3)
+    z = khovanov_homology(d, "z")
+    assert graded_euler(z) == unnormalized_jones(d)
+    assert_universal_coefficients(z, khovanov_homology(d, "f2"))
+    assert sum(len(torsion) for _, torsion in z.dims.values()) == 60
 
 
 # -- graded Euler characteristic -----------------------------------------------

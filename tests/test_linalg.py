@@ -1,10 +1,13 @@
 """Rank, Smith form and block homology checks against hand-computable
-matrices and complexes."""
+matrices and complexes, and the Smith form against a dense reference."""
 
 import pytest
 from hypothesis import given, strategies as st
 
+from graphhom import linalg
+from graphhom.catalog import braid_closure
 from graphhom.errors import InvalidDiagram
+from graphhom.khovanov import khovanov_homology
 from graphhom.linalg import (
     block_homology,
     f2_is_zero,
@@ -14,6 +17,7 @@ from graphhom.linalg import (
     int_mul,
     smith_invariant_factors,
 )
+from test_acceptance import CENSUS_LINKS
 
 
 def test_f2_rank_basic():
@@ -69,6 +73,127 @@ def test_smith_divisibility_chain(rows):
     for a, b in zip(factors, factors[1:]):
         assert b % a == 0
     assert len(factors) <= min(len(rows), 3)
+
+
+# -- Smith form against the dense reference -------------------------------------
+
+
+def reference_smith(matrix):
+    """The dense Smith form, kept as the slow path: every pass reads the
+    whole trailing block, and the divisibility scan runs after every
+    pivot, unit or not."""
+    m = [list(row) for row in matrix]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    factors = []
+    t = 0
+    while t < nrows and t < ncols:
+        pr = pc = -1
+        best = 0
+        for i in range(t, nrows):
+            row = m[i]
+            for j in range(t, ncols):
+                v = abs(row[j])
+                if v and (best == 0 or v < best):
+                    best, pr, pc = v, i, j
+                    if best == 1:
+                        break
+            if best == 1:
+                break
+        if best == 0:
+            break
+        if pr != t:
+            m[t], m[pr] = m[pr], m[t]
+        if pc != t:
+            for row in m:
+                row[t], row[pc] = row[pc], row[t]
+
+        pivot = m[t][t]
+        clean = True
+        for i in range(t + 1, nrows):
+            v = m[i][t]
+            if v:
+                q = v // pivot
+                if q:
+                    ri, rt = m[i], m[t]
+                    for k in range(t, ncols):
+                        ri[k] -= q * rt[k]
+                if m[i][t]:
+                    clean = False
+        if not clean:
+            continue
+        for j in range(t + 1, ncols):
+            v = m[t][j]
+            if v:
+                q = v // pivot
+                if q:
+                    for i in range(t, nrows):
+                        m[i][j] -= q * m[i][t]
+                if m[t][j]:
+                    clean = False
+        if not clean:
+            continue
+
+        # Pivot must divide every remaining entry for the divisibility
+        # chain; fold an offending row into row t and redo this step.
+        offending = -1
+        for i in range(t + 1, nrows):
+            row = m[i]
+            if any(row[j] % pivot for j in range(t + 1, ncols)):
+                offending = i
+                break
+        if offending >= 0:
+            ri, rt = m[offending], m[t]
+            for k in range(t, ncols):
+                rt[k] += ri[k]
+            continue
+        factors.append(abs(pivot))
+        t += 1
+    return factors
+
+
+# Entries are mostly zeros and units, like a differential's, with a few
+# non-units so that the divisibility scan and row folding still run.
+ENTRIES = st.sampled_from([0] * 6 + [1, -1] * 3 + [2, -2, 3, -3, 4, -4])
+
+
+@st.composite
+def int_matrices(draw):
+    nrows = draw(st.integers(min_value=1, max_value=8))
+    ncols = draw(st.integers(min_value=1, max_value=8))
+    row = st.lists(ENTRIES, min_size=ncols, max_size=ncols)
+    return draw(st.lists(row, min_size=nrows, max_size=nrows))
+
+
+@given(int_matrices())
+def test_smith_matches_reference(rows):
+    assert smith_invariant_factors(rows) == reference_smith(rows)
+
+
+# The braids of the benchmark's khovanov-z workload, 5 to 8 crossings.
+KHOVANOV_Z_BRAIDS = [
+    ([1] * 5, 2),
+    ([1] * 7, 2),
+    ([1, 2] * 4, 3),
+    ([1, -2] * 4, 3),
+    ([1, 1, 1, -2, 1, -2, -2, -2], 3),
+]
+
+
+def test_smith_matches_reference_on_khovanov_blocks(monkeypatch):
+    blocks = []
+
+    def recording(matrix):
+        blocks.append(matrix)
+        return smith_invariant_factors(matrix)
+
+    monkeypatch.setattr(linalg, "smith_invariant_factors", recording)
+    census = [make() for make in CENSUS_LINKS.values()]
+    for d in census + [braid_closure(w, s) for w, s in KHOVANOV_Z_BRAIDS]:
+        khovanov_homology(d, "z")
+    assert len(blocks) > 150
+    for m in blocks:
+        assert smith_invariant_factors(m) == reference_smith(m)
 
 
 def test_int_mul():

@@ -22,13 +22,99 @@ from graphhom.invariants import jones, kauffman_bracket
 from graphhom.laurent import Laurent
 from graphhom.moves import (
     MoveSite,
+    _orbit_of,
+    _r3,
     apply_move,
-    apply_move_with_inverse,
     legal_sites,
     random_move_sequence,
 )
 
 A = ("A",)
+
+
+def _search_inverse(before, after, candidates):
+    key = before.canonical_key()
+    for site in candidates:
+        try:
+            if apply_move(after, site).canonical_key() == key:
+                return site
+        except PatternMismatch:
+            continue
+    raise PatternMismatch("no inverse site reproduces the original diagram")
+
+
+def _face_site_kinds(face):
+    return {(k, i) for k, i, _ in face}
+
+
+def apply_move_with_inverse(d, s):
+    """Like apply_move, and also a site that provably undoes the move
+    (verified by canonical form)."""
+    if s.kind == "R3":
+        out, inv_dart = _r3(d, *s.params)
+        return out, MoveSite("R3", True, (inv_dart,))
+    out = apply_move(d, s)
+    if s.kind == "R1" and s.insert:
+        return out, MoveSite("R1", False, (len(out.crossings) - 1,))
+    if s.kind == "R2" and s.insert:
+        new = {("x", len(out.crossings) - 2), ("x", len(out.crossings) - 1)}
+        cands = [
+            MoveSite("R2", False, (f[0],))
+            for f in out.faces()
+            if len(f) == 2 and _face_site_kinds(f) == new
+        ]
+        return out, _search_inverse(d, out, cands)
+    if s.kind == "R4" and s.insert:
+        corner = s.params[0]
+        return out, MoveSite("R4", False, (corner[1], corner[2]))
+    if s.kind == "R5" and s.insert:
+        corner = s.params[0]
+        target = {("x", len(out.crossings) - 1), ("v", corner[1])}
+        cands = [
+            MoveSite("R5", False, (f[0],))
+            for f in out.faces()
+            if len(f) == 2 and _face_site_kinds(f) == target
+        ]
+        return out, _search_inverse(d, out, cands)
+    if s.kind == "R1":
+        cands = [
+            MoveSite("R1", True, (arc, var))
+            for arc in sorted(out.arc_ids()) + [None]
+            for var in range(4)
+        ]
+        return out, _search_inverse(d, out, cands)
+    if s.kind == "R2":
+        cands = []
+        for f in out.faces():
+            for da in f:
+                for db in f:
+                    if da != db and out.arc_at(da) != out.arc_at(db):
+                        cands.append(MoveSite("R2", True, (da, db, False)))
+                        cands.append(MoveSite("R2", True, (da, db, True)))
+        return out, _search_inverse(d, out, cands)
+    if s.kind == "R4":
+        vi, j = s.params
+        corner = ("v", vi, j)
+        cands = []
+        for f in out.faces():
+            if corner not in f:
+                continue
+            for da in f:
+                if da != corner:
+                    cands.append(MoveSite("R4", True, (corner, da, False)))
+                    cands.append(MoveSite("R4", True, (corner, da, True)))
+        return out, _search_inverse(d, out, cands)
+    if s.kind == "R5":
+        vis = {i for k, i, _ in _orbit_of(d, s.params[0]) if k == "v"}
+        vi = vis.pop()
+        deg = len(out.vertices[vi])
+        cands = [
+            MoveSite("R5", True, (("v", vi, c), over))
+            for c in range(deg)
+            for over in (False, True)
+        ]
+        return out, _search_inverse(d, out, cands)
+    raise PatternMismatch(f"unknown move kind {s.kind!r}")
 
 
 def check_round_trip(d, site):
