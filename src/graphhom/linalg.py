@@ -7,12 +7,12 @@ block-graded chain complex over either ring; both homology flavors of
 the package go through it.
 
 Differentials are mostly zeros, so the integer loops that run per
-entry skip them: the d∘d check multiplies over each row's nonzero
-entries, and the Smith form eliminates over the pivot row's nonzero
-columns, clears that row with one remainder per nonzero entry, and
-passes over zero rows in its pivot search.  The matrices themselves
-stay dense, and so do the pivot search within a nonzero row and the
-divisibility scan after a non-unit pivot.
+entry skip them: ``int_mul``, behind the d∘d check, multiplies over
+each row's nonzero entries, and the Smith form eliminates over the
+pivot row's nonzero columns, clears that row with one remainder per
+nonzero entry, and passes over zero rows in its pivot search.  The
+matrices themselves stay dense, and so do the pivot search within a
+nonzero row and the divisibility scan after a non-unit pivot.
 """
 
 from __future__ import annotations
@@ -61,41 +61,26 @@ def f2_is_zero(rows: Sequence[int]) -> bool:
 # -- integers ---------------------------------------------------------------
 
 def int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> List[List[int]]:
+    """Dense product of integer matrices.  Each b-row's nonzero columns
+    are listed once, and row i of the result adds v * w only over the
+    nonzero entries v of a-row i and w of the b-rows they select."""
     if not a or not b:
         return [[0] * (len(b[0]) if b else 0) for _ in a]
     ncols = len(b[0])
+    b_support = [[(k, w) for k, w in enumerate(row) if w] for row in b]
     out = []
     for row in a:
         acc = [0] * ncols
         for j, v in enumerate(row):
             if v:
-                brow = b[j]
-                for k in range(ncols):
-                    acc[k] += v * brow[k]
+                for k, w in b_support[j]:
+                    acc[k] += v * w
         out.append(acc)
     return out
 
 
 def int_is_zero(rows: Sequence[Sequence[int]]) -> bool:
-    return all(v == 0 for row in rows for v in row)
-
-
-def _sparse_int_mul(
-    a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
-) -> List[List[int]]:
-    """Product of dense matrices by one pass over each row's nonzero
-    entries.  Row i of the result lists the entries it reached, zeros
-    from cancellation included, without their columns."""
-    b_support = [[(k, w) for k, w in enumerate(row) if w] for row in b]
-    out = []
-    for row in a:
-        acc: Dict[int, int] = {}
-        for j, v in enumerate(row):
-            if v:
-                for k, w in b_support[j]:
-                    acc[k] = acc.get(k, 0) + v * w
-        out.append(list(acc.values()))
-    return out
+    return not any(map(any, rows))
 
 
 def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
@@ -236,7 +221,7 @@ def block_homology(
         else:
             rows[pos[i]][pos[j]] += coeff
 
-    mul, is_zero = (f2_mul, f2_is_zero) if f2 else (_sparse_int_mul, int_is_zero)
+    mul, is_zero = (f2_mul, f2_is_zero) if f2 else (int_mul, int_is_zero)
     for k, rows in mats.items():
         nxt = mats.get(targets[k])
         if nxt is not None and not is_zero(mul(rows, nxt)):
