@@ -35,9 +35,6 @@ class BigradedDims:
     def of_ranks(ranks: Dict[Bigrading, int]) -> "BigradedDims":
         return BigradedDims({k: (r, ()) for k, r in ranks.items()})
 
-    def total_rank(self) -> int:
-        return sum(r for r, _ in self.dims.values())
-
     def ranks(self) -> Dict[Bigrading, int]:
         return {k: r for k, (r, _) in self.dims.items() if r}
 
@@ -61,11 +58,6 @@ class BigradedDims:
         """Two-variable Poincare polynomial; exponent keys are the
         doubled gradings directly."""
         return Laurent(tags, {k: r for k, (r, _) in self.dims.items() if r})
-
-    def dual_ranks(self) -> "BigradedDims":
-        return BigradedDims.of_ranks(
-            {(-i, -j): r for (i, j), (r, _) in self.dims.items() if r}
-        )
 
     def to_json(self) -> dict:
         table = {}

@@ -72,13 +72,14 @@ _DIAGRAM_KEYS = {"crossings", "vertices", "loops", "orientations"}
 
 
 def _diagram_from_doc(doc, path: str) -> GraphDiagram:
-    """Parse a diagram document; one with foreign keys (a grid, say) or
-    one describing no crossing, vertex or loop is unusable input."""
+    """Parse and validate a diagram document; one with foreign keys (a
+    grid, say), one describing no crossing, vertex or loop, or one that
+    fails ``validate`` (non-planar included) is unusable input."""
     if isinstance(doc, dict) and not set(doc) <= _DIAGRAM_KEYS:
         unknown = ", ".join(sorted(repr(k) for k in set(doc) - _DIAGRAM_KEYS))
         raise _Exit(2, f"{path}: invalid diagram: unknown keys {unknown}")
     try:
-        d = GraphDiagram.from_json(doc)
+        d = GraphDiagram.from_json(doc).validate_strict()
     except InvalidDiagram as exc:
         raise _Exit(2, f"{path}: invalid diagram: {exc}")
     except (KeyError, TypeError, ValueError) as exc:
@@ -121,10 +122,6 @@ def _memory_guard() -> None:
 
 def _cmd_validate(args) -> int:
     d = _load_diagram(args.path)
-    try:
-        d.validate_strict()
-    except InvalidDiagram as exc:
-        raise _Exit(2, f"{args.path}: invalid diagram: {exc}")
     doc = {
         "valid": True,
         "crossings": len(d.crossings),

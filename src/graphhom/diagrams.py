@@ -27,6 +27,9 @@ from .errors import InvalidDiagram
 Endpoint = Tuple[str, int, int]   # (kind "x"|"v", site index, slot)
 Dart = Endpoint
 
+# The violation ``validate`` reports for a rotation system that is not planar.
+NOT_PLANAR = "not planar: the face count breaks Euler's formula"
+
 
 def union_classes(elements: Iterable[int], pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Join the two elements of every pair; map each element to the
@@ -164,6 +167,8 @@ class GraphDiagram:
             )
             if over_in != 1:
                 bad.append(f"crossing {i}: over-strand has {over_in} inflows")
+        if not bad and not self.euler_ok():
+            bad.append(NOT_PLANAR)
         return bad
 
     def validate_strict(self) -> "GraphDiagram":
@@ -221,14 +226,15 @@ class GraphDiagram:
         return out
 
     def euler_ok(self) -> bool:
-        """Planarity of the rotation system: F = E - V + 1 + C per the
-        crossing/vertex structure, loops excluded on both sides."""
+        """Planarity of the rotation system: F = E - V + 2C, each of the C
+        connected pieces a sphere of its own (faces are counted per piece),
+        loops excluded on both sides."""
         sites = len(self.crossings) + len(self.vertices)
         if sites == 0:
             return True
         narcs = len(self.arc_ids())
         comps = len(self.site_components())
-        return len(self.faces()) == narcs - sites + 1 + comps
+        return len(self.faces()) == narcs - sites + 2 * comps
 
     def site_components(self) -> List[List[Tuple[str, int]]]:
         """Sites of each connected piece, pieces in order of their smallest
@@ -418,7 +424,8 @@ class GraphDiagram:
                 for a, want in flips:
                     heads2[a] = want
                 flipped = cls(crossings, vertices, loops, heads2)
-                bad = flipped.validate()
+                # planarity does not depend on orientation
+                bad = [v for v in flipped.validate() if v != NOT_PLANAR]
                 if bad:
                     raise InvalidDiagram(["requested orientations are inconsistent"] + bad)
             return flipped

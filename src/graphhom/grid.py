@@ -120,30 +120,7 @@ def grid_union(a: GridDiagram, b: GridDiagram) -> GridDiagram:
     )
 
 
-# -- stabilization and destabilization -----------------------------------------
-
-
-def stabilize(g: GridDiagram, r: int, down: bool = True, right: bool = True) -> GridDiagram:
-    """Split row r's X marker into an L of three markers on an n+1 grid."""
-    c = g.X[r]
-    rn = r + 1 if down else r
-    cn = c + 1 if right else c
-    rr = r if down else r + 1
-    cc = c if right else c + 1
-
-    def row_of(t: int) -> int:
-        return t if t < rn else t + 1
-
-    def col_of(u: int) -> int:
-        return u if u < cn else u + 1
-
-    n = g.n + 1
-    xs, os_ = [-1] * n, [-1] * n
-    for t in range(g.n):
-        xs[row_of(t)] = col_of(g.X[t])
-        os_[row_of(t)] = col_of(g.O[t])
-    xs[rr], xs[rn], os_[rn] = cn, cc, cn
-    return GridDiagram(n, tuple(xs), tuple(os_))
+# -- destabilization -------------------------------------------------------------
 
 
 def _block_markers(g: GridDiagram, r: int, c: int) -> List[Tuple[int, int, str]]:

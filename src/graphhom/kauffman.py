@@ -4,10 +4,16 @@ A replacement choice routes one pair of edge-ends through each vertex
 and leaves the rest as free ends.  Applying a full assignment deletes
 every open strand, splices surviving strands straight through the
 crossings that lose a passage, and keeps the closed curves.  The family
-collects the nonempty results over all assignments with multiplicities:
-assignments are grouped by the canonical key of their reduced link, each
-group is fingerprinted once, and groups with equal fingerprints merge into
-one member, whose diagram is its first link in product order.
+collects the nonempty results over all assignments with multiplicities.
+
+An assignment's link depends only on which vertices' chosen pairs are
+closed: joined through chosen pairs into a cycle of graph edges (arcs
+joined through crossings) that reaches no unchosen slot.  ``family``
+finds that tuple of closed pairs with a union-find over the edges, and
+builds, reduces and keys the link once per distinct tuple.  Assignments
+are grouped by the canonical key of their reduced link, each group is
+fingerprinted once, and groups with equal fingerprints merge into one
+member, whose diagram is its first link in product order.
 """
 
 from __future__ import annotations
@@ -204,22 +210,65 @@ class LinkFamily:
         }
 
 
+def _edge_options(g: GraphDiagram, edge: Dict[int, int]) -> List[List[Tuple]]:
+    """Per vertex, one ``(pair, joined, loose)`` per replacement choice:
+    the slot pair, the two edges it joins (None when there is no pair)
+    and the edges at its unchosen slots, where ``edge`` maps each arc to
+    its edge."""
+    options = []
+    for v in g.vertices:
+        at = [edge[a] for a in v]
+        options.append(
+            [
+                (pair, pair and (at[pair[0]], at[pair[1]]),
+                 [e for s, e in enumerate(at) if s not in (pair or ())])
+                for pair in vertex_choices(len(v)) or [None]
+            ]
+        )
+    return options
+
+
 def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
     """All nonempty links produced by vertex replacements, deduplicated
-    by fingerprint in deterministic order."""
+    by fingerprint in deterministic order.
+
+    Assignments run in ``itertools.product`` order over the vertices'
+    choices.  Each one only joins edges through its chosen pairs; its
+    link is determined by which vertices' pairs end up closed (on a cycle
+    of chosen pairs with no unchosen slot), so ``apply_replacement``,
+    ``reduce_diagram`` and ``canonical_key`` run once per distinct tuple
+    of closed pairs and later assignments with that tuple only add to its
+    group's count."""
     g.validate_strict()
     n = assignment_count(g)
     if n > cap:
         raise CapExceeded(f"{n} replacement assignments exceed the cap of {cap}")
-    per_vertex = [vertex_choices(len(v)) or [None] for v in g.vertices]
+    # an edge is a class of arcs joined through crossings, named by its
+    # smallest arc
+    edge = g.strand_classes()
+    edges = sorted({edge[a] for v in g.vertices for a in v})
+    options = _edge_options(g, edge)
     # reduced canonical key -> [first link, its reduction, assignment count]
     groups: Dict[Tuple, List] = {}
-    for combo in itertools.product(*per_vertex):
-        link = apply_replacement(g, dict(enumerate(combo)))
-        if not link.crossings and link.loops == 0:
-            continue
-        reduced = reduce_diagram(link)
-        groups.setdefault(reduced.canonical_key(), [link, reduced, 0])[2] += 1
+    # closed pair per vertex (None where open) -> its group's key, None
+    # when the link is empty
+    built: Dict[Tuple, Optional[Tuple]] = {}
+    for combo in itertools.product(*options):
+        label = union_classes(edges, [joined for _, joined, _ in combo if joined])
+        open_labels = {label[e] for _, _, loose in combo for e in loose}
+        key = tuple(
+            pair if joined and label[joined[0]] not in open_labels else None
+            for pair, joined, _ in combo
+        )
+        if key not in built:
+            link = apply_replacement(g, {vi: o[0] for vi, o in enumerate(combo)})
+            built[key] = None
+            if link.crossings or link.loops:
+                reduced = reduce_diagram(link)
+                built[key] = reduced.canonical_key()
+                groups.setdefault(built[key], [link, reduced, 0])
+        if built[key] is not None:
+            groups[built[key]][2] += 1
     # fingerprint sort key -> [(fingerprint, first link, count)] per group
     merged: Dict[Tuple, List[Tuple[Fingerprint, GraphDiagram, int]]] = {}
     for link, reduced, count in groups.values():

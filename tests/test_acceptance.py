@@ -31,12 +31,14 @@ from graphhom.floer import (
     total_homology,
 )
 from graphhom.graph_homology import graph_homology
-from graphhom.grid import GridDiagram, pd_to_grid, simplify_grid, stabilize
+from graphhom.grid import GridDiagram, pd_to_grid, simplify_grid
 from graphhom.invariants import fingerprint, reduce_diagram
 from graphhom.kauffman import family
 from graphhom.khovanov import graded_euler, khovanov_homology, unnormalized_jones
 from graphhom.laurent import U, Laurent
 from graphhom.moves import random_move_sequence
+from test_floer import dual_ranks, total_rank
+from test_grid import stabilize
 
 CENSUS_LINKS = {
     "unknot": unknot,
@@ -77,7 +79,7 @@ def test_criterion_1_handcuff_family_and_decomposition():
     expected_unlink = UNKNOT_HAT.tensor_ranks(UNKNOT_HAT).tensor_ranks(X_FACTOR)
     assert members[2].floer.ranks() == expected_unlink.ranks()
     assert members[1].floer.ranks() == UNKNOT_HAT.ranks()
-    assert report.aggregate_floer.total_rank() == 3
+    assert total_rank(report.aggregate_floer) == 3
     assert report.aggregate_floer.ranks() == {(1, 0): 1, (-1, 0): 1, (0, 0): 1}
 
     dt = _elapsed(t0)
@@ -207,7 +209,7 @@ def test_criterion_5_structural_rank_identities():
     mirror_cases = reversal_cases
     for name in mirror_cases:
         d = CENSUS_LINKS[name]()
-        assert hfk_hat(d.mirror()).ranks() == hfk_hat(d).dual_ranks().ranks(), name
+        assert hfk_hat(d.mirror()).ranks() == dual_ranks(hfk_hat(d)).ranks(), name
 
     union_pairs = [
         ("unknot", "unknot"),
@@ -282,11 +284,11 @@ def test_criterion_6_internal_consistency_oracles(monkeypatch):
         if any(x == o for x, o in zip(xs, os_)):
             continue
         g = GridDiagram(n, xs, os_)
-        before = tilde_homology(g).total_rank()
+        before = total_rank(tilde_homology(g))
         st = stabilize(
             g, rng.randrange(n), down=rng.random() < 0.5, right=rng.random() < 0.5
         )
-        assert tilde_homology(st).total_rank() == 2 * before
+        assert total_rank(tilde_homology(st)) == 2 * before
         doubled += 1
 
     assert complexes["floer"] > 0

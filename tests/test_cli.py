@@ -124,6 +124,31 @@ def test_grid_document_is_not_a_diagram(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["validate"],
+        ["family"],
+        ["invariants"],
+        ["khovanov"],
+        ["floer"],
+        ["graph-homology"],
+        ["moves", "--seed", "0"],
+    ],
+    ids=lambda c: c[0],
+)
+def test_nonplanar_pd_exit_two(command, tmp_path, capsys):
+    # two crossings, structurally sound, but 2 faces where Euler's
+    # formula wants 4; before the planarity check some commands answered
+    p = tmp_path / "nonplanar.json"
+    p.write_text('{"crossings": [[0, 1, 2, 3], [2, 0, 3, 1]]}')
+    code = main([command[0], str(p), *command[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "not planar" in err
+    assert out == "" and "Traceback" not in err
+
+
 def test_missing_file_exit_two(capsys):
     code, _ = run_cli(["validate", "/nonexistent/x.json"], capsys=capsys)
     assert code == 2

@@ -1,10 +1,14 @@
 """Diagram encoding, validation, connectivity, faces, and canonical keys."""
 
+import json
+from importlib import resources
+
 import pytest
 from hypothesis import given, strategies as st
 
 from graphhom import catalog
 from graphhom.diagrams import (
+    NOT_PLANAR,
     GraphDiagram,
     connected_sum,
     disjoint_union,
@@ -141,6 +145,56 @@ def test_all_catalog_links_pass_euler():
         assert make().euler_ok(), make.__name__
 
 
+# two crossings whose rotation system leaves 2 faces where Euler's
+# formula wants 4; every structural check passes
+NONPLANAR_PD = [(0, 1, 2, 3), (2, 0, 3, 1)]
+
+
+def test_nonplanar_pd_fails_validation():
+    d = GraphDiagram.from_pd(NONPLANAR_PD)
+    assert len(d.faces()) == 2 and not d.euler_ok()
+    assert d.validate() == [NOT_PLANAR]
+    with pytest.raises(InvalidDiagram, match="not planar"):
+        d.validate_strict()
+
+
+def test_nonplanar_orientation_override_is_not_an_orientation_error():
+    # a theta graph whose two vertices turn the same way embeds on the
+    # torus only; flipping an edge is a consistent override
+    theta_on_torus = [(0, 1, 2), (0, 1, 2)]
+    assert GraphDiagram.from_pd([], theta_on_torus).validate() == [NOT_PLANAR]
+    flipped = GraphDiagram.from_pd([], theta_on_torus, orientations={0: -1})
+    assert flipped.validate() == [NOT_PLANAR]
+
+
+def test_split_diagrams_are_planar():
+    # faces are counted per connected piece, so each piece adds 2
+    d = disjoint_union(catalog.trefoil_right(), catalog.hopf_positive())
+    assert d.euler_ok()
+    assert disjoint_union(catalog.handcuff(), catalog.theta()).validate() == []
+
+
+def census_diagrams():
+    """Every bundled census diagram, in file-name order."""
+    base = resources.files("graphhom.census")
+    names = sorted(e.name for e in base.iterdir() if e.name.endswith(".diagram.json"))
+    return [GraphDiagram.from_json(json.loads((base / n).read_text("utf-8"))) for n in names]
+
+
+def test_every_catalog_and_census_diagram_validates():
+    made = [
+        catalog.unknot(), catalog.unlink(3), catalog.unknot_kink(1),
+        catalog.unknot_kink(-1), catalog.hopf_positive(), catalog.hopf_negative(),
+        catalog.trefoil_right(), catalog.trefoil_left(), catalog.figure_eight(),
+        catalog.handcuff(), catalog.hopf_handcuff(), catalog.theta(),
+        catalog.braid_closure([1, -2] * 3, 3), catalog.braid_closure([1] * 7, 2),
+    ]
+    census = census_diagrams()
+    assert len(census) == 10
+    for d in made + census:
+        assert d.validate() == [], d
+
+
 def test_disjoint_union_counts():
     d = disjoint_union(catalog.trefoil_right(), catalog.hopf_positive())
     assert d.validate() == []
@@ -173,8 +227,12 @@ def test_splice_kink_leaves_circle():
 
 
 def test_splice_hopf_once_gives_kinkless_circle():
+    # one crossing whose two strands each close up through it: every
+    # structural check passes, but two closed curves in the plane cross an
+    # even number of times, so the rotation system is not planar
     d = splice_crossing(catalog.hopf_positive(), 0)
-    assert d.validate() == []
+    assert d.validate() == [NOT_PLANAR]
+    assert not d.euler_ok()
     assert len(d.crossings) == 1
 
 

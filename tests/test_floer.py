@@ -39,16 +39,23 @@ from graphhom.grid import (
     pd_to_grid,
     reverse,
     simplify_grid,
-    stabilize,
 )
 from graphhom.laurent import Laurent, T, U
-from test_grid import mirror_grid
+from test_grid import mirror_grid, stabilize
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
 
 # The rank-two disjoint-union factor: one generator at Maslov 1/2, one
 # at -1/2, both at Alexander 0.
 X_FACTOR = BigradedDims.of_ranks({(1, 0): 1, (-1, 0): 1})
+
+
+def total_rank(dims):
+    return sum(r for r, _ in dims.dims.values())
+
+
+def dual_ranks(dims):
+    return BigradedDims.of_ranks({(-i, -j): r for (i, j), (r, _) in dims.dims.items() if r})
 
 
 def random_grid(rng, n):
@@ -205,7 +212,7 @@ def test_two_by_two_tilde():
 
 def test_stabilized_unknot_tilde_rank():
     g = GridDiagram(3, (1, 2, 0), (0, 1, 2))
-    assert tilde_homology(g).total_rank() == 4
+    assert total_rank(tilde_homology(g)) == 4
 
 
 def test_unknot_hat():
@@ -215,22 +222,22 @@ def test_unknot_hat():
 def test_trefoil_hats_and_duality():
     right = hfk_hat(trefoil_right())
     left = hfk_hat(trefoil_left())
-    assert right.total_rank() == 3
-    assert left == right.dual_ranks()
+    assert total_rank(right) == 3
+    assert left == dual_ranks(right)
     assert hat_euler(right) == Laurent(T, {(2,): 1, (0,): -1, (-2,): 1})
 
 
 def test_hopf_hat_table():
     hat = hfk_hat(hopf_positive())
-    assert hat.total_rank() == 4
+    assert total_rank(hat) == 4
     assert hat.ranks() == {(3, 2): 1, (1, 0): 2, (-1, -2): 1}
-    assert hfk_hat(hopf_negative()) == hat.dual_ranks()
+    assert hfk_hat(hopf_negative()) == dual_ranks(hat)
 
 
 def test_figure_eight_hat_is_self_dual():
     hat = hfk_hat(figure_eight())
     assert hat.ranks() == {(-2, -2): 1, (0, 0): 3, (2, 2): 1}
-    assert hat == hat.dual_ranks()
+    assert hat == dual_ranks(hat)
 
 
 def test_unlink_hat_is_the_rank_two_factor():
@@ -264,11 +271,11 @@ def test_stabilization_doubles_tilde_rank():
     rng = random.Random(11)
     for _ in range(6):
         g = random_grid(rng, rng.randrange(2, 5))
-        base = tilde_homology(g).total_rank()
+        base = total_rank(tilde_homology(g))
         stab = stabilize(
             g, rng.randrange(g.n), down=rng.random() < 0.5, right=rng.random() < 0.5
         )
-        assert tilde_homology(stab).total_rank() == 2 * base
+        assert total_rank(tilde_homology(stab)) == 2 * base
 
 
 def test_commutation_preserves_tilde():
@@ -288,7 +295,7 @@ def test_commutation_preserves_tilde():
 @pytest.mark.parametrize("diagram", [trefoil_right(), hopf_positive(), figure_eight()])
 def test_mirror_duality_on_grids(diagram):
     g = simplify_grid(pd_to_grid(diagram))
-    assert hat_from_grid(mirror_grid(g)) == hat_from_grid(g).dual_ranks()
+    assert hat_from_grid(mirror_grid(g)) == dual_ranks(hat_from_grid(g))
 
 
 @pytest.mark.parametrize("diagram", [trefoil_left(), hopf_positive()])

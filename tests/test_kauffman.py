@@ -19,7 +19,7 @@ from graphhom.catalog import (
 )
 from graphhom.diagrams import GraphDiagram, connected_sum
 from graphhom.errors import CapExceeded, InvalidDiagram
-from graphhom.invariants import Fingerprint, fingerprint
+from graphhom.invariants import Fingerprint, fingerprint, reduce_diagram
 from graphhom.kauffman import (
     apply_replacement,
     assignment_count,
@@ -27,6 +27,7 @@ from graphhom.kauffman import (
     vertex_choices,
 )
 from graphhom.moves import random_move_sequence
+from test_diagrams import census_diagrams
 
 FP_UNKNOT = fingerprint(unknot())
 FP_UNLINK2 = fingerprint(unlink(2))
@@ -37,11 +38,16 @@ def by_fingerprint(fam):
     return {m.fingerprint: m.multiplicity for m in fam.members}
 
 
+def g6_base_scrambled(seed):
+    """G6's connected sum before its R4/R5 scramble with the given seed."""
+    g = connected_sum(hopf_handcuff(), connected_sum(theta(), hopf_handcuff()))
+    return random_move_sequence(g, count=10, seed=seed, kinds={"R4", "R5"})[0]
+
+
 def g6():
     """The fixed benchmark graph G6: six trivalent vertices, 729
     assignments, eight distinct members."""
-    g = connected_sum(hopf_handcuff(), connected_sum(theta(), hopf_handcuff()))
-    return random_move_sequence(g, count=10, seed=3, kinds={"R4", "R5"})[0]
+    return g6_base_scrambled(3)
 
 
 def nonempty_links(g):
@@ -52,6 +58,108 @@ def nonempty_links(g):
         link = apply_replacement(g, dict(enumerate(combo)))
         if link.crossings or link.loops:
             yield link
+
+
+def slow_family_json(g):
+    """``family(g).to_json()`` the slow way: every assignment's link is
+    built, reduced and keyed, then grouped by canonical key and merged by
+    fingerprint, each member keeping its first link in product order."""
+    groups = {}
+    for link in nonempty_links(g):
+        reduced = reduce_diagram(link)
+        groups.setdefault(reduced.canonical_key(), [link, reduced, 0])[2] += 1
+    merged = {}
+    for link, reduced, count in groups.values():
+        fp = fingerprint(reduced)
+        merged.setdefault(fp.sort_key(), []).append((fp, link, count))
+    return {
+        "assignments": assignment_count(g),
+        "members": [
+            {
+                "fingerprint": parts[0][0].to_json(),
+                "diagram": parts[0][1].to_json(),
+                "multiplicity": sum(p[2] for p in parts),
+            }
+            for _, parts in sorted(merged.items())
+        ],
+    }
+
+
+def g8(seed):
+    g = connected_sum(
+        hopf_handcuff(),
+        connected_sum(theta(), connected_sum(hopf_handcuff(), theta())),
+    )
+    return random_move_sequence(g, count=10, seed=seed, kinds={"R4", "R5"})[0]
+
+
+# A bar: one arc between two valence-1 vertices.
+BAR = GraphDiagram([], [(0,), (0,)], 0, {0: ("v", 1, 0)})
+# One valence-4 vertex with two loops, each filling two adjacent slots.
+BOUQUET = GraphDiagram.from_pd([], [(0, 0, 1, 1)])
+# One valence-4 vertex whose two loops cross once: pairs (0, 2) and
+# (1, 3) each close one loop.
+CROSSED = GraphDiagram.from_pd([(0, 1, 2, 3)], [(0, 3, 2, 1)], orientations={1: 1, 3: -1})
+# Two valence-2 vertices joined by two arcs.
+LENS = GraphDiagram.from_pd([], [(0, 1), (0, 1)])
+
+# Graphs with the vertex shapes a memo key must get right.
+CORNER_GRAPHS = {
+    "bar": connected_sum(hopf_handcuff(), BAR),
+    "bar+theta": connected_sum(connected_sum(hopf_handcuff(), BAR, arc_a=0), theta()),
+    "bouquet": connected_sum(hopf_handcuff(), BOUQUET),
+    "crossed": connected_sum(CROSSED, connected_sum(theta(), hopf_handcuff())),
+    "crossed+bouquet": connected_sum(CROSSED, BOUQUET),
+    "lens": connected_sum(LENS, hopf_handcuff()),
+}
+
+
+def oracle_pool():
+    """(name, graph) pairs the memoized family is checked on."""
+    census_graphs = [d for d in census_diagrams() if d.vertices]
+    pool = [(make.__name__, make()) for make in (handcuff, hopf_handcuff, theta)]
+    pool += [(f"census {i}", g) for i, g in enumerate(census_graphs)]
+    pool += [(f"G6 seed {s}", g6_base_scrambled(s)) for s in (1, 2, 3, 4)]
+    pool += [(f"G8 seed {s}", g8(s)) for s in (1, 2)]
+    for name, g in CORNER_GRAPHS.items():
+        pool.append((name, g))
+        pool += [
+            (f"{name} seed {s}", random_move_sequence(g, 10, s, kinds={"R4", "R5"})[0])
+            for s in (0, 1)
+        ]
+    return pool
+
+
+ORACLE_POOL = oracle_pool()
+
+
+def test_oracle_pool_covers_the_memo_key_corners():
+    graphs = [g for _, g in ORACLE_POOL]
+    valences = {len(v) for g in graphs for v in g.vertices}
+    assert {1, 2, 3, 4} <= valences
+    assert any(len(set(v)) < len(v) for g in graphs for v in g.vertices)
+    assert sum(name.startswith("census") for name, _ in ORACLE_POOL) == 3
+
+
+@pytest.mark.parametrize("name,g", ORACLE_POOL, ids=[n for n, _ in ORACLE_POOL])
+def test_family_matches_slow_path(name, g):
+    g.validate_strict()
+    assert family(g).to_json() == slow_family_json(g)
+
+
+@pytest.mark.parametrize(
+    "g,assignments,built", [(g6(), 729, 32), (g8(1), 6561, 64)], ids=["G6", "G8"]
+)
+def test_family_builds_one_link_per_closed_pair_tuple(g, assignments, built, monkeypatch):
+    calls = []
+
+    def counted(g, choice):
+        calls.append(choice)
+        return apply_replacement(g, choice)
+
+    monkeypatch.setattr(kauffman, "apply_replacement", counted)
+    assert family(g).assignments == assignments
+    assert len(calls) == built
 
 
 def test_vertex_choices_counts():

@@ -29,6 +29,7 @@ from graphhom.khovanov import (
 )
 from graphhom.moves import random_move_sequence
 from test_acceptance import CENSUS_LINKS, _randomized_links
+from test_floer import total_rank
 
 
 def doubled(table):
@@ -254,7 +255,7 @@ def test_kkh_family_direct_sum():
     hopf = khovanov_homology(hopf_negative())
     unk = khovanov_homology(unknot())
     assert kkh.dims == hopf.add(unk).dims
-    assert kkh.total_rank() == 6
+    assert total_rank(kkh) == 6
 
 
 def test_kkh_family_cap_reports_completed():
