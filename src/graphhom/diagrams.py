@@ -358,6 +358,9 @@ class GraphDiagram:
         ±1 relative to each arc's first scan occurrence and override the
         defaults but must satisfy the crossing constraints.
         """
+        bad = [f"crossing {i} has {len(c)} slots" for i, c in enumerate(crossings) if len(c) != 4]
+        if bad:
+            raise InvalidDiagram(bad)
         shell = cls(crossings, vertices, loops, heads=None)
         ends = shell.arc_endpoints()
         for a, es in sorted(ends.items()):

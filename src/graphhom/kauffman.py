@@ -6,19 +6,20 @@ every open strand, splices surviving strands straight through the
 crossings that lose a passage, and keeps the closed curves.  The family
 collects the nonempty results over all assignments with multiplicities.
 
-An assignment's link depends only on which vertices' chosen pairs are
-closed: joined through chosen pairs into a cycle of graph edges (arcs
-joined through crossings) that reaches no unchosen slot.  ``family``
-finds that tuple of closed pairs with a union-find over the edges, and
-builds, reduces and keys the link once per distinct tuple.  Assignments
-are grouped by the canonical key of their reduced link, each group is
+An assignment's link depends only on its closed pairs: the chosen pairs
+that lie on a cycle of graph edges (arcs joined through crossings)
+passing each of its vertices through the chosen pair.  They form a
+vertex-disjoint system of such cycles.  ``family`` enumerates the
+cycles and their disjoint systems, counts each system's assignments by
+inclusion-exclusion, and builds, reduces and keys one link per system,
+from the system's first assignment in product order.  Assignments are
+grouped by the canonical key of their reduced link, each group is
 fingerprinted once, and groups with equal fingerprints merge into one
 member, whose diagram is its first link in product order.
 """
 
 from __future__ import annotations
 
-import itertools
 import logging
 from dataclasses import dataclass
 from math import comb, prod
@@ -33,7 +34,9 @@ log = logging.getLogger(__name__)
 SlotPair = Tuple[int, int]
 ReplacementChoice = Dict[int, Optional[SlotPair]]
 
-# Most replacement assignments a family enumerates.
+# Most replacement assignments a family may count.  Assignments are
+# counted per closed-cycle system, not visited, so this bounds the
+# reported count rather than the enumeration work.
 FAMILY_ASSIGNMENT_CAP = 10**6
 
 # an arc end is (arc id, endpoint it sits at)
@@ -210,65 +213,170 @@ class LinkFamily:
         }
 
 
-def _edge_options(g: GraphDiagram, edge: Dict[int, int]) -> List[List[Tuple]]:
-    """Per vertex, one ``(pair, joined, loose)`` per replacement choice:
-    the slot pair, the two edges it joins (None when there is no pair)
-    and the edges at its unchosen slots, where ``edge`` maps each arc to
-    its edge."""
-    options = []
-    for v in g.vertices:
-        at = [edge[a] for a in v]
-        options.append(
-            [
-                (pair, pair and (at[pair[0]], at[pair[1]]),
-                 [e for s, e in enumerate(at) if s not in (pair or ())])
-                for pair in vertex_choices(len(v)) or [None]
-            ]
-        )
-    return options
+# A cycle of graph edges: the bitmask of its vertices of valence 3 or
+# more, and the slot pair it passes each of its vertices through.
+_Cycle = Tuple[int, Dict[int, SlotPair]]
+
+
+def _cycles(g: GraphDiagram) -> Tuple[List[List[_Cycle]], Dict[int, SlotPair]]:
+    """Every cycle of graph edges through a vertex of valence 3 or more,
+    listed under its lowest such vertex, and the pairs of the cycles
+    through valence-2 vertices only, which every assignment closes.
+
+    An edge is a class of arcs joined through crossings and runs between
+    two vertex slots.  A valence-2 vertex has one choice, so a run of
+    edges through such vertices acts as one edge.  The walk leaves the
+    lowest vertex through the first slot of its pair and visits only
+    higher ones, so each cycle is found once."""
+    edge = g.strand_classes()
+    ends: Dict[int, List[Tuple[int, int]]] = {}
+    for vi, v in enumerate(g.vertices):
+        for s, arc in enumerate(v):
+            ends.setdefault(edge[arc], []).append((vi, s))
+    # (vertex, slot) -> (vertex, slot) at the other end of its edge
+    far = {}
+    for a, b in ends.values():
+        far[a], far[b] = b, a
+    # (vertex, slot) off valence 2 -> the next such (vertex, slot) along
+    # its run of edges, and the valence-2 vertices passed on the way
+    hop = {}
+    for end in far:
+        if len(g.vertices[end[0]]) != 2:
+            passed = []
+            w, t = far[end]
+            while len(g.vertices[w]) == 2:
+                passed.append(w)
+                w, t = far[(w, 1 - t)]
+            hop[end] = ((w, t), passed)
+    forced: Dict[int, SlotPair] = {}
+    on_runs = {w for _, passed in hop.values() for w in passed}
+    for vi, v in enumerate(g.vertices):
+        if len(v) == 2 and vi not in on_runs and vi not in forced:
+            w, t = far[(vi, 0)]
+            forced[w] = (0, 1)
+            while w != vi:
+                w, t = far[(w, 1 - t)]
+                forced[w] = (0, 1)
+    cycles: List[List[_Cycle]] = [[] for _ in g.vertices]
+
+    def walk(low: int, last: int, end: Tuple[int, int], mask: int, pairs: Dict) -> None:
+        (w, t), passed = hop[end]
+        pairs = {**pairs, **dict.fromkeys(passed, (0, 1))}
+        if w == low:
+            if t == last:
+                cycles[low].append((mask, pairs))
+        elif w > low and len(g.vertices[w]) > 2 and not mask >> w & 1:
+            for u in range(len(g.vertices[w])):
+                if u != t:
+                    walk(low, last, (w, u), mask | 1 << w, {**pairs, w: (min(t, u), max(t, u))})
+
+    for vi, v in enumerate(g.vertices):
+        if len(v) > 2:
+            for i, j in vertex_choices(len(v)):
+                walk(vi, j, (vi, i), 1 << vi, {vi: (i, j)})
+    return cycles, forced
+
+
+def closed_pair_tuples(g: GraphDiagram) -> List[Tuple[Tuple, Tuple, int]]:
+    """``(closed pairs, first assignment, count)`` for every tuple of
+    closed pairs (None where a vertex's pair is open) that an assignment
+    of ``g`` produces, in the ``itertools.product`` order of the first
+    assignments.
+
+    An assignment's closed pairs form a vertex-disjoint system S of
+    cycles of graph edges, and its other choices close no cycle among
+    the vertices W off S.  Those choices number A(W), where by
+    inclusion-exclusion over the disjoint systems T of cycles inside W,
+    A(W) = sum of (-1)^|T| times the product of c_w over w in W off T,
+    c_w being the number of choices at w.  The first assignment takes,
+    vertex by vertex, the first choice that still has completions."""
+    options = [vertex_choices(len(v)) or [None] for v in g.vertices]
+    cycles, forced = _cycles(g)
+    # vertices with more than one choice
+    full = sum(1 << v for v, choices in enumerate(options) if len(choices) > 1)
+    free_memo = {0: 1}
+
+    def free(mask: int) -> int:
+        """A(mask): choices at the vertices in ``mask`` that close no
+        cycle among them."""
+        if mask not in free_memo:
+            v = (mask & -mask).bit_length() - 1
+            total = len(options[v]) * free(mask & ~(1 << v))
+            for cycle, _ in cycles[v]:
+                if cycle & mask == cycle:
+                    total -= free(mask & ~cycle)
+            free_memo[mask] = total
+        return free_memo[mask]
+
+    def completions(mask: int, fixed: Dict[int, Optional[SlotPair]]) -> int:
+        """``free(mask)`` with the choices in ``fixed`` made, which sit at
+        the lowest vertices of ``mask``."""
+        v = (mask & -mask).bit_length() - 1
+        if v not in fixed:
+            return free(mask)
+        total = completions(mask & ~(1 << v), fixed)
+        for cycle, pairs in cycles[v]:
+            if cycle & mask == cycle and all(fixed.get(u, p) == p for u, p in pairs.items()):
+                total -= completions(mask & ~cycle, fixed)
+        return total
+
+    found = []
+
+    def add(mask: int, pairs: Dict[int, SlotPair]) -> None:
+        rest = full & ~mask
+        count = free(rest)
+        if not count:
+            return
+        fixed: Dict[int, Optional[SlotPair]] = {}
+        order = []
+        for v, choices in enumerate(options):
+            if rest >> v & 1:
+                for k, choice in enumerate(choices):
+                    fixed[v] = choice
+                    if completions(rest, fixed):
+                        break
+            else:
+                k = choices.index(pairs[v]) if v in pairs else 0
+            order.append(k)
+        found.append((order, tuple(map(pairs.get, range(len(options)))), count))
+
+    flat = [c for per in cycles for c in per]
+
+    def systems(start: int, mask: int, pairs: Dict[int, SlotPair]) -> None:
+        add(mask, pairs)
+        for k in range(start, len(flat)):
+            cycle, through = flat[k]
+            if not cycle & mask:
+                systems(k + 1, mask | cycle, {**pairs, **through})
+
+    systems(0, 0, forced)
+    found.sort(key=lambda f: f[0])
+    return [
+        (key, tuple(c[k] for c, k in zip(options, order)), count)
+        for order, key, count in found
+    ]
 
 
 def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
     """All nonempty links produced by vertex replacements, deduplicated
     by fingerprint in deterministic order.
 
-    Assignments run in ``itertools.product`` order over the vertices'
-    choices.  Each one only joins edges through its chosen pairs; its
-    link is determined by which vertices' pairs end up closed (on a cycle
-    of chosen pairs with no unchosen slot), so ``apply_replacement``,
-    ``reduce_diagram`` and ``canonical_key`` run once per distinct tuple
-    of closed pairs and later assignments with that tuple only add to its
-    group's count."""
+    ``apply_replacement``, ``reduce_diagram`` and ``canonical_key`` run
+    once per tuple of closed pairs, on its first assignment in
+    ``itertools.product`` order over the vertices' choices, and the
+    tuple's group gains that tuple's assignment count; see
+    ``closed_pair_tuples``."""
     g.validate_strict()
     n = assignment_count(g)
     if n > cap:
         raise CapExceeded(f"{n} replacement assignments exceed the cap of {cap}")
-    # an edge is a class of arcs joined through crossings, named by its
-    # smallest arc
-    edge = g.strand_classes()
-    edges = sorted({edge[a] for v in g.vertices for a in v})
-    options = _edge_options(g, edge)
     # reduced canonical key -> [first link, its reduction, assignment count]
     groups: Dict[Tuple, List] = {}
-    # closed pair per vertex (None where open) -> its group's key, None
-    # when the link is empty
-    built: Dict[Tuple, Optional[Tuple]] = {}
-    for combo in itertools.product(*options):
-        label = union_classes(edges, [joined for _, joined, _ in combo if joined])
-        open_labels = {label[e] for _, _, loose in combo for e in loose}
-        key = tuple(
-            pair if joined and label[joined[0]] not in open_labels else None
-            for pair, joined, _ in combo
-        )
-        if key not in built:
-            link = apply_replacement(g, {vi: o[0] for vi, o in enumerate(combo)})
-            built[key] = None
-            if link.crossings or link.loops:
-                reduced = reduce_diagram(link)
-                built[key] = reduced.canonical_key()
-                groups.setdefault(built[key], [link, reduced, 0])
-        if built[key] is not None:
-            groups[built[key]][2] += 1
+    for _, first, count in closed_pair_tuples(g):
+        link = apply_replacement(g, dict(enumerate(first)))
+        if link.crossings or link.loops:
+            reduced = reduce_diagram(link)
+            groups.setdefault(reduced.canonical_key(), [link, reduced, 0])[2] += count
     # fingerprint sort key -> [(fingerprint, first link, count)] per group
     merged: Dict[Tuple, List[Tuple[Fingerprint, GraphDiagram, int]]] = {}
     for link, reduced, count in groups.values():

@@ -7,8 +7,10 @@ parsed back, so these double as determinism checks on the JSON layer.
 import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphhom.catalog import (
     handcuff,
@@ -32,6 +34,18 @@ def run_cli(argv, stdin_text=None, capsys=None):
         code = main(argv)
     out = capsys.readouterr().out if capsys else ""
     return code, out
+
+
+# Every subcommand that reads a diagram, with its required flags.
+COMPUTE_COMMANDS = [
+    ["validate"],
+    ["family"],
+    ["invariants"],
+    ["khovanov"],
+    ["floer"],
+    ["graph-homology"],
+    ["moves", "--seed", "0"],
+]
 
 
 @pytest.fixture
@@ -74,23 +88,31 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["validate"],
-        ["family"],
-        ["invariants"],
-        ["khovanov"],
-        ["floer"],
-        ["graph-homology"],
-        ["moves", "--seed", "0"],
-    ],
-    ids=lambda c: c[0],
-)
+@pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=lambda c: c[0])
 @pytest.mark.parametrize(
     "text",
-    ["[]", "null", '{"loops": 1e400}', '{"orientations": [1]}', "{}", '{"loops": 0}'],
-    ids=["list", "null", "huge_loops", "orientation_list", "empty", "no_loops"],
+    [
+        "[]",
+        "null",
+        '{"loops": 1e400}',
+        '{"orientations": [1]}',
+        "{}",
+        '{"loops": 0}',
+        '{"crossings": [[]]}',
+        '{"crossings": [{}]}',
+        '{"crossings": [[0, 0]]}',
+    ],
+    ids=[
+        "list",
+        "null",
+        "huge_loops",
+        "orientation_list",
+        "empty",
+        "no_loops",
+        "empty_crossing",
+        "object_crossing",
+        "two_slot_crossing",
+    ],
 )
 def test_non_diagram_document_exit_two(command, text, tmp_path, capsys):
     p = tmp_path / "doc.json"
@@ -124,19 +146,7 @@ def test_grid_document_is_not_a_diagram(command, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["validate"],
-        ["family"],
-        ["invariants"],
-        ["khovanov"],
-        ["floer"],
-        ["graph-homology"],
-        ["moves", "--seed", "0"],
-    ],
-    ids=lambda c: c[0],
-)
+@pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=lambda c: c[0])
 def test_nonplanar_pd_exit_two(command, tmp_path, capsys):
     # two crossings, structurally sound, but 2 faces where Euler's
     # formula wants 4; before the planarity check some commands answered
@@ -307,3 +317,127 @@ def test_stdin_dash(capsys):
     code, out = run_cli(["invariants", "-"], stdin_text=text, capsys=capsys)
     assert code == 0
     assert json.loads(out)["components"] == 2
+
+
+# Small numbers only: a document with many loops is a valid unlink whose
+# Khovanov and graph homology take exponential time.
+_leaves = (
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 3)
+    | st.floats(-3, 3)
+    | st.text(alphabet="01ab", max_size=2)
+)
+_json = st.recursive(
+    _leaves,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.dictionaries(st.text(alphabet="01ab", max_size=2), kids, max_size=3),
+    max_leaves=8,
+)
+_short_crossings = st.lists(st.lists(st.integers(0, 3), max_size=5), max_size=3)
+json_shapes = _json | st.fixed_dictionaries(
+    {},
+    optional={
+        "crossings": _json | _short_crossings,
+        "vertices": _json | _short_crossings,
+        "loops": _json,
+        "orientations": _json,
+    },
+)
+
+
+@st.composite
+def pd_codes(draw):
+    """A link PD code with 0-3 crossings: every arc label sits in exactly
+    two slots, but orientations and planarity are left to chance."""
+    n = draw(st.integers(0, 3))
+    labels = draw(st.permutations([a for a in range(2 * n) for _ in (0, 1)]))
+    crossings = [labels[4 * i:4 * i + 4] for i in range(n)]
+    return {"crossings": crossings, "loops": draw(st.integers(0, 2))}
+
+
+def planar(crossings):
+    """Euler's formula F = E - V + 2C on the rotation system of 4-valent
+    crossings, faces being orbits of next-slot-after-partner."""
+    where = {}
+    for i, c in enumerate(crossings):
+        for s, a in enumerate(c):
+            where.setdefault(a, []).append((i, s))
+
+    def partner(d):
+        e1, e2 = where[crossings[d[0]][d[1]]]
+        return e2 if d == e1 else e1
+
+    darts = {(i, s) for i in range(len(crossings)) for s in range(4)}
+    faces = 0
+    while darts:
+        faces += 1
+        d = darts.pop()
+        while True:
+            i, s = partner(d)
+            d = (i, (s + 1) % 4)
+            if d not in darts:
+                break
+            darts.remove(d)
+    piece = list(range(len(crossings)))
+
+    def root(i):
+        while piece[i] != i:
+            i = piece[i]
+        return i
+
+    for (i, _), (j, _) in where.values():
+        piece[root(i)] = root(j)
+    pieces = len({root(i) for i in range(len(crossings))})
+    return faces == len(crossings) + 2 * pieces
+
+
+def run_on_stdin(argv, text):
+    out, err = io.StringIO(), io.StringIO()
+    old = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = old
+    return code, out.getvalue(), err.getvalue()
+
+
+FUZZ = settings(
+    max_examples=60,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+def assert_exits_cleanly(doc):
+    """Every compute subcommand exits 0, 1 or 2 without a traceback, and
+    2 on a PD code that is not planar."""
+    text = json.dumps(doc)
+    nonplanar = (
+        isinstance(doc, dict)
+        and set(doc) == {"crossings", "loops"}
+        and isinstance(doc["loops"], int)
+        and all(isinstance(c, list) and len(c) == 4 for c in doc["crossings"])
+        and not planar(doc["crossings"])
+    )
+    for command in COMPUTE_COMMANDS:
+        code, _, err = run_on_stdin([command[0], "-", *command[1:]], text)
+        assert code in (0, 1, 2), (command, text, err)
+        assert "Traceback" not in err
+        if nonplanar:
+            assert code == 2, (command, text, err)
+
+
+@FUZZ
+@given(doc=json_shapes)
+def test_cli_fuzz_json_shapes(doc):
+    assert_exits_cleanly(doc)
+
+
+@FUZZ
+@given(doc=pd_codes())
+def test_cli_fuzz_pd_codes(doc):
+    assert_exits_cleanly(doc)

@@ -17,12 +17,13 @@ from graphhom.catalog import (
     unknot,
     unlink,
 )
-from graphhom.diagrams import GraphDiagram, connected_sum
+from graphhom.diagrams import GraphDiagram, connected_sum, disjoint_union, union_classes
 from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.invariants import Fingerprint, fingerprint, reduce_diagram
 from graphhom.kauffman import (
     apply_replacement,
     assignment_count,
+    closed_pair_tuples,
     family,
     vertex_choices,
 )
@@ -145,6 +146,118 @@ def test_oracle_pool_covers_the_memo_key_corners():
 def test_family_matches_slow_path(name, g):
     g.validate_strict()
     assert family(g).to_json() == slow_family_json(g)
+
+
+def reference_closed_keys(g):
+    """Closed-pair tuple -> [first assignment, assignment count], in
+    first-occurrence order, from one union-find per assignment: every
+    assignment joins the graph's edges through its chosen pairs, and a
+    pair is closed when its class reaches no unchosen slot."""
+    edge = g.strand_classes()
+    edges = sorted({edge[a] for v in g.vertices for a in v})
+    options = []
+    for v in g.vertices:
+        at = [edge[a] for a in v]
+        options.append(
+            [
+                (pair, pair and (at[pair[0]], at[pair[1]]),
+                 [e for s, e in enumerate(at) if s not in (pair or ())])
+                for pair in vertex_choices(len(v)) or [None]
+            ]
+        )
+    keys = {}
+    for combo in itertools.product(*options):
+        label = union_classes(edges, [joined for _, joined, _ in combo if joined])
+        open_labels = {label[e] for _, _, loose in combo for e in loose}
+        key = tuple(
+            pair if joined and label[joined[0]] not in open_labels else None
+            for pair, joined, _ in combo
+        )
+        keys.setdefault(key, [tuple(pair for pair, _, _ in combo), 0])[1] += 1
+    return keys
+
+
+def assert_closed_pair_tuples_match_reference(g):
+    got = closed_pair_tuples(g)
+    want = [(key, first, count) for key, (first, count) in reference_closed_keys(g).items()]
+    assert got == want
+    assert sum(count for _, _, count in got) == assignment_count(g)
+
+
+@pytest.mark.parametrize("name,g", ORACLE_POOL, ids=[n for n, _ in ORACLE_POOL])
+def test_closed_pair_tuples_match_reference(name, g):
+    assert_closed_pair_tuples_match_reference(g)
+
+
+# A theta whose first edge passes a valence-2 vertex, numbered last: the
+# first choices at vertices 0 and 1 close a cycle through it, so only a
+# count over completions finds the first assignment that closes nothing.
+SUBDIVIDED_THETA = GraphDiagram.from_pd([], [(0, 1, 2), (1, 3, 2), (0, 3)])
+# The same, summed with a Hopf handcuff along the edge that skips vertex 2.
+SUBDIVIDED_SUM = connected_sum(SUBDIVIDED_THETA, hopf_handcuff(), arc_a=2)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        SUBDIVIDED_THETA,
+        SUBDIVIDED_SUM,
+        random_move_sequence(SUBDIVIDED_SUM, 10, 1, kinds={"R4", "R5"})[0],
+    ],
+    ids=["bare", "sum", "sum seed 1"],
+)
+def test_first_assignment_needs_completions(g):
+    g.validate_strict()
+    assert_closed_pair_tuples_match_reference(g)
+    assert family(g).to_json() == slow_family_json(g)
+
+
+def circle(n):
+    """A circle through n valence-2 vertices, closed in every assignment."""
+    return GraphDiagram.from_pd([], [(i, (i + 1) % n) for i in range(n)])
+
+
+# Thirty valence-2 vertices, each closing its own loop.
+KINKS = GraphDiagram.from_pd([], [(i, i) for i in range(30)])
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        disjoint_union(KINKS, hopf_handcuff()),
+        disjoint_union(circle(3), theta()),
+        connected_sum(circle(4), hopf_handcuff()),
+        connected_sum(hopf_handcuff(), circle(4)),
+        connected_sum(SUBDIVIDED_THETA, circle(3), arc_a=1),
+        disjoint_union(GraphDiagram.from_pd([], [(0,), (0, 1), (1,)]), theta()),
+    ],
+    ids=[
+        "kinks",
+        "circle+theta",
+        "circle#hopf",
+        "hopf#circle",
+        "subdivided#circle",
+        "bar through valence 2+theta",
+    ],
+)
+def test_runs_through_valence_two_vertices(g):
+    assert_closed_pair_tuples_match_reference(g)
+    assert family(g).to_json() == slow_family_json(g)
+
+
+def test_long_valence_two_circle():
+    fam = family(circle(1500))
+    assert fam.assignments == 1
+    assert [m.multiplicity for m in fam.members] == [1]
+
+
+def test_closed_pair_tuples_match_reference_on_ten_vertices():
+    g = hopf_handcuff()
+    for piece in (theta(), hopf_handcuff(), theta(), hopf_handcuff()):
+        g = connected_sum(g, piece)
+    g = random_move_sequence(g, count=10, seed=1, kinds={"R4", "R5"})[0]
+    assert assignment_count(g) == 59049
+    assert_closed_pair_tuples_match_reference(g)
 
 
 @pytest.mark.parametrize(
