@@ -15,24 +15,32 @@ so mirror duality and the disjoint-union rank-two factor hold on the
 nose.  For knots both agree with the usual formulas.  All gradings are
 stored doubled.
 
-The kernel does O(n) work per generator for the gradings and per row for
-the rectangles.  Gradings come from two corner tables per grid, one per
-marker type: entry (r, c) counts the markers northeast plus southwest of
-lattice point (c, r), so a generator's marker counts are sums of one
-entry per row, accumulated over a generator's rows in one pass.
-Rectangles starting at a row are found by one upward sweep that carries
-the narrowest column offset seen so far, which decides emptiness without
-rescanning the rows inside.
+The kernel lists the generators in one walk over the rows that builds
+each shared prefix once.  Gradings come from two corner tables per grid,
+one per marker type: entry (r, c) counts the markers northeast plus
+southwest of lattice point (c, r), so a generator's marker counts are
+sums of one entry per row, added as the walk places each row.  The walk
+also gives each generator an integer code with s bits per row, so a
+rectangle's target, which swaps two rows, is its source's code plus a
+precomputed difference, found with one dict lookup.  Rectangles
+starting at a row are found by one upward sweep that carries the
+narrowest column offset seen so far, which decides emptiness without
+rescanning the rows inside, and a table of the widest marker-free
+width per corner and length, which ends the sweep where every longer
+rectangle holds a marker.
 
 Homology, with its d^2 = 0 check, is taken by ``linalg.block_homology``,
-the routine the Khovanov complex also goes through.
+the routine the Khovanov complex also goes through.  The Euler check
+compares the hat table with the Alexander polynomial of
+``invariants.alexander``, the Wirtinger route that the tests check
+against the skein recursion.
 """
 
 from __future__ import annotations
 
 import math
 from itertools import permutations
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
@@ -96,23 +104,14 @@ def _cell_masks(n: int, cols: Sequence[int]) -> List[List[int]]:
 def _complex(g: GridDiagram, block_x: bool):
     """Doubled gradings of the generators and their rectangle edges.
 
-    Generators come in ``itertools.permutations`` order, and each one's
-    gradings are built row by row: placing row r at column c adds the
-    corner tables' entries at (c, r) to the O and X marker counts, and
-    the number of columns left of c already used by lower rows to the
-    count of point pairs, so a generator costs O(n) instead of O(n^2)
-    pair tests.
-
-    A rectangle runs from the point of x in row ra to the point in row rb,
-    over cell rows ra .. rb - 1 and the columns to the right of x[ra],
-    both mod n.  ``_rectangles`` sweeps rb upward from each ra, keeping
-    the smallest column offset of the rows passed so far: the rectangle
-    holds no other point of x exactly when its width is below it.  Every
-    ordered row pair is a candidate; a rectangle counts when it avoids
-    the blocked markers and every other point of x.  The edges come
-    lazily as generator indices (i, j, 1), one per empty rectangle, so a
-    pair joined by two rectangles cancels mod 2 where
-    ``linalg.block_homology`` sums them.
+    Generators come in ``itertools.permutations`` order.  One walk over
+    the rows lists them, prefix by prefix: placing row r at column c adds
+    the corner tables' entries at (c, r) to the O and X marker counts,
+    and the number of columns left of c already used by lower rows to the
+    count of point pairs.  Each prefix is built once and shared by every
+    generator that extends it.  The walk also gives each generator the
+    integer code sum of x[r] * 2^(s r), with s bits per row, which
+    ``_rectangles`` uses to find rectangle targets.
     """
     n = g.n
     ell = g.component_count()
@@ -122,17 +121,25 @@ def _complex(g: GridDiagram, block_x: bool):
     # m2 = 2 (i_gg - j_go + i_oo + 1) + (l - 1), a2 = j_gx - j_go - i_xx + i_oo - (n - l)
     m_base = 2 * (i_oo + 1) + (ell - 1)
     a_base = i_oo - _ascents(g.X) - (n - ell)
-    gens = list(permutations(range(n)))
-    grads = []
-    for x in gens:
-        used = i_gg = j_go = j_gx = 0
-        for c, row_o, row_x in zip(x, t_o, t_x):
-            bit = 1 << c
-            i_gg += (used & (bit - 1)).bit_count()
-            used |= bit
-            j_go += row_o[c]
-            j_gx += row_x[c]
-        grads.append((2 * (i_gg - j_go) + m_base, j_gx - j_go + a_base))
+    shift = max(1, (n - 1).bit_length())
+    # unused[used] = (c, bit, 2 * used columns left of c) for each unused c.
+    unused = [
+        [(c, 1 << c, 2 * (used & ((1 << c) - 1)).bit_count())
+         for c in range(n) if not used >> c & 1]
+        for used in range(1 << n)
+    ]
+    level = [(0, 0, m_base, a_base)]
+    for r in range(n):
+        dm = [-2 * v for v in t_o[r]]
+        da = [vx - vo for vx, vo in zip(t_x[r], t_o[r])]
+        s = shift * r
+        level = [
+            (used | bit, code + (c << s), m2 + left + dm[c], a2 + da[c])
+            for used, code, m2, a2 in level
+            for c, bit, left in unused[used]
+        ]
+    codes = [code for _used, code, _m2, _a2 in level]
+    grads = [(m2, a2) for _used, _code, m2, a2 in level]
 
     blocked = _cell_masks(n, g.O)
     if block_x:
@@ -140,27 +147,60 @@ def _complex(g: GridDiagram, block_x: bool):
         blocked = [
             [bo | bx for bo, bx in zip(ro, rx)] for ro, rx in zip(blocked, xmasks)
         ]
-    return grads, _rectangles(n, gens, blocked)
+    return grads, _rectangles(n, shift, codes, blocked)
 
 
-def _rectangles(n: int, gens: List[Tuple[int, ...]], blocked: List[List[int]]):
+def _rectangles(n: int, shift: int, codes: List[int], blocked: List[List[int]]):
+    """Rectangle edges (i, j, 1) of the generators with the given codes.
+
+    A rectangle runs from the point of x in row ra to the point in row rb,
+    over cell rows ra .. rb - 1 and the columns to the right of x[ra],
+    both mod n.  The sweep moves rb upward from each ra, keeping the
+    smallest column offset of the rows passed so far: the rectangle
+    holds no other point of x exactly when its width is below it.  It
+    holds no blocked marker exactly when its width is at most the widest
+    marker-free width for its corner and length.  Marker-freeness is
+    monotone in both width and length, so the sweep from corner (ra, ca)
+    stops at the first length whose widest marker-free width is 0.
+
+    Swapping x[ra] = ca and x[rb] = cb changes the code by
+    (cb - ca) (2^(s ra) - 2^(s rb)), so a target is one dict lookup.
+    ``steps[ra][ca][length - 1][cb]`` holds the width cb - ca mod n and
+    that code change, or None for a rectangle that holds a marker.  A
+    pair joined by two rectangles yields two edges, which cancel mod 2
+    where ``linalg.block_homology`` sums them.
+    """
     cols = _cell_masks(n, range(n))
-    gidx = {x: i for i, x in enumerate(gens)}
-    for ix, x in enumerate(gens):
+    weight = [1 << (shift * r) for r in range(n)]
+    steps = []
+    for ra, brow in enumerate(blocked):
+        per_corner = []
+        for ca in range(n):
+            sweep = []
+            for length in range(1, n):
+                widest = max(w for w in range(n) if not brow[length] & cols[ca][w])
+                if not widest:
+                    break
+                dw = weight[ra] - weight[(ra + length) % n]
+                sweep.append(tuple(
+                    ((cb - ca) % n, (cb - ca) * dw if (cb - ca) % n <= widest else None)
+                    for cb in range(n)
+                ))
+            per_corner.append(sweep)
+        steps.append(per_corner)
+    gidx = {code: i for i, code in enumerate(codes)}
+    for ix, (x, code) in enumerate(zip(permutations(range(n)), codes)):
         xx = x + x
         for ra in range(n):
-            ca = x[ra]
-            brow = blocked[ra]
-            crow = cols[ca]
+            sweep = steps[ra][x[ra]]
+            if not sweep:
+                continue
             least = n  # smallest column offset among the rows passed
-            for length in range(1, n):
-                width = (xx[ra + length] - ca) % n
+            for cb, table in zip(xx[ra + 1:], sweep):
+                width, delta = table[cb]
                 if width < least:
-                    if not brow[length] & crow[width]:
-                        rb = (ra + length) % n
-                        y = list(x)
-                        y[ra], y[rb] = y[rb], ca
-                        yield ix, gidx[tuple(y)], 1
+                    if delta is not None:
+                        yield ix, gidx[code + delta], 1
                     if width == 1:
                         break
                     least = width
@@ -216,14 +256,15 @@ def hat_euler(dims: BigradedDims) -> Laurent:
 
 
 def skein_euler_target(d: GraphDiagram) -> Laurent:
-    """(t^(1/2) - t^(-1/2))^(l-1) * Delta(t) from the skein oracle."""
+    """(t^(1/2) - t^(-1/2))^(l-1) * Delta(t), the hat Euler characteristic
+    that the Alexander polynomial predicts."""
     ell = d.split_components()[0]
     half_diff = Laurent(T, {(1,): 1, (-1,): -1})
     return alexander(d) * half_diff ** (ell - 1)
 
 
 def euler_matches_skein(dims: BigradedDims, d: GraphDiagram) -> dict:
-    """Compare a hat Euler polynomial with the skein prediction.
+    """Compare a hat Euler polynomial with the Alexander prediction.
 
     A global sign and a uniform half-power shift are convention slack;
     both are reported.  Exact agreement means offset 0.

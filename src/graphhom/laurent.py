@@ -216,19 +216,6 @@ def normalize_alexander(p: Laurent) -> Laurent:
     return p
 
 
-def conway_to_alexander(nabla: Laurent) -> Laurent:
-    """Substitute z = t^(1/2) - t^(-1/2) into a skein polynomial."""
-    if nabla.vars != Z:
-        raise TagMismatch("expected a polynomial in z")
-    z_image = Laurent(T, {(1,): 1, (-1,): -1})
-    out = Laurent.zero(T)
-    for (dz,), coeff in nabla.terms.items():
-        if dz % 2 != 0 or dz < 0:
-            raise ValueError("skein polynomials have nonnegative integer z powers")
-        out = out + (z_image ** (dz // 2)).scale(coeff)
-    return out
-
-
 def euler_substitute(p: Laurent, half_shift: bool = False) -> Laurent:
     """Collapse the u axis of a bigraded series at u = -1.
 

@@ -6,17 +6,25 @@ exact; nothing here floats.  ``block_homology`` takes the homology of a
 block-graded chain complex over either ring; both homology flavors of
 the package go through it.
 
+``block_homology`` keeps the differential sparse: each generator's row
+is an array of target positions, plus one of coefficients over Z.  It
+walks the blocks along the differential and builds a block's bitsets or
+dense rows only when the walk reaches it, so at most two blocks are
+held in matrix form at once.  ``f2_mul``, behind the F2 d∘d check, reads
+its left factor as sparse rows and does one XOR per nonzero entry.
+
 Differentials are mostly zeros, so the integer loops that run per
-entry skip them: ``int_mul``, behind the d∘d check, multiplies over
+entry skip them: ``int_mul``, behind the Z d∘d check, multiplies over
 each row's nonzero entries, and the Smith form eliminates over the
 pivot row's nonzero columns, clears that row with one remainder per
 nonzero entry, and passes over zero rows in its pivot search.  The
-matrices themselves stay dense, and so do the pivot search within a
-nonzero row and the divisibility scan after a non-unit pivot.
+pivot search within a nonzero row and the divisibility scan after a
+non-unit pivot stay dense.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from .errors import InvalidDiagram
@@ -25,31 +33,29 @@ from .errors import InvalidDiagram
 # -- GF(2) ------------------------------------------------------------------
 
 def f2_rank(rows: Sequence[int]) -> int:
+    """Rank by elimination on the highest set bit, keyed by bit length."""
     lead: dict[int, int] = {}
     rank = 0
     for r in rows:
         while r:
-            top = r.bit_length() - 1
-            if top in lead:
-                r ^= lead[top]
-            else:
-                lead[top] = r
+            pivot = lead.get(r.bit_length())
+            if pivot is None:
+                lead[r.bit_length()] = r
                 rank += 1
                 break
+            r ^= pivot
     return rank
 
 
-def f2_mul(a_rows: Sequence[int], b_rows: Sequence[int]) -> List[int]:
-    """Product of bitset matrices: row i of the result is XOR of the
-    b-rows selected by the set bits of a_rows[i]."""
+def f2_mul(a_rows: Sequence[Iterable[int]], b_rows: Sequence[int]) -> List[int]:
+    """Product of a sparse matrix and a bitset matrix: ``a_rows[i]``
+    lists the columns of row i's nonzero entries, and row i of the result
+    is the XOR of the b-rows they select.  A column listed twice cancels."""
     out = []
     for a in a_rows:
         acc = 0
-        x = a
-        while x:
-            j = (x & -x).bit_length() - 1
+        for j in a:
             acc ^= b_rows[j]
-            x &= x - 1
         out.append(acc)
     return out
 
@@ -190,58 +196,107 @@ def block_homology(
     every block with nonzero homology.  Over Z one Smith form per matrix
     gives both its rank and the torsion it leaves in its target block.
 
+    The blocks that carry entries form chains and cycles under
+    ``target``.  The walk follows each chain from its head, and then each
+    cycle from any block: it builds block k's matrix, takes its rank,
+    builds the next block's matrix for the d∘d check of k, and drops
+    k's matrix.  A cycle builds its first block's matrix a second time
+    for the check that closes it.
+
     Raises ``InvalidDiagram`` when an entry leaves the target block or
     when d∘d is not zero on some pair of composable blocks.
     """
-    pos: List[int] = []
-    sizes: Dict[Hashable, int] = {}
-    for k in keys:
-        n = sizes.get(k, 0)
-        pos.append(n)
-        sizes[k] = n + 1
-
-    # One row per source generator, in both rings.
     f2 = ring == "f2"
-    mats: Dict[Hashable, list] = {}
-    targets: Dict[Hashable, Hashable] = {}
+    ids: Dict[Hashable, int] = {}
+    block = [ids.setdefault(k, len(ids)) for k in keys]
+    members: List[List[int]] = [[] for _ in ids]
+    pos: List[int] = []
+    for i, b in enumerate(block):
+        pos.append(len(members[b]))
+        members[b].append(i)
+    names = list(ids)
+    nxt = [ids.get(target(k), -1) for k in names]
+
+    # One row of target positions per generator, and over Z one row of
+    # coefficients beside it, each within a signed 64-bit word (array
+    # raises OverflowError past it).  Over F2 an even coefficient is no
+    # entry.
+    cols = [array("I") for _ in keys]
+    vals = None if f2 else [array("q") for _ in keys]
     for i, j, coeff in edges:
-        k = keys[i]
-        rows = mats.get(k)
-        if rows is None:
-            t = targets[k] = target(k)
-            if f2:
-                rows = mats[k] = [0] * sizes[k]
-            else:
-                rows = mats[k] = [[0] * sizes.get(t, 0) for _ in range(sizes[k])]
-        if keys[j] != targets[k]:
-            raise InvalidDiagram([f"differential entry leaves block {k} for {keys[j]}"])
+        b = block[i]
+        if block[j] != nxt[b]:
+            raise InvalidDiagram([f"differential entry leaves block {names[b]} for {keys[j]}"])
         if f2:
             if coeff % 2:
-                rows[pos[i]] ^= 1 << pos[j]
+                cols[i].append(pos[j])
         else:
-            rows[pos[i]][pos[j]] += coeff
+            cols[i].append(pos[j])
+            vals[i].append(coeff)
 
-    mul, is_zero = (f2_mul, f2_is_zero) if f2 else (int_mul, int_is_zero)
-    for k, rows in mats.items():
-        nxt = mats.get(targets[k])
-        if nxt is not None and not is_zero(mul(rows, nxt)):
-            raise InvalidDiagram([f"differential does not square to zero from block {k}"])
-
-    rank: Dict[Hashable, int] = {}
-    torsion: Dict[Hashable, Tuple[int, ...]] = {}
-    for k, rows in mats.items():
+    def matrix(b: int) -> list:
         if f2:
-            rank[k] = f2_rank(rows)
-        else:
-            factors = smith_invariant_factors(rows)
-            rank[k] = len(factors)
-            torsion[targets[k]] = tuple(f for f in factors if f > 1)
-    incoming = {t: rank[k] for k, t in targets.items()}
+            bits = []
+            for i in members[b]:
+                acc = 0
+                for j in cols[i]:
+                    acc ^= 1 << j
+                bits.append(acc)
+            return bits
+        dense = []
+        width = len(members[nxt[b]])
+        for i in members[b]:
+            row = [0] * width
+            for j, v in zip(cols[i], vals[i]):
+                row[j] += v
+            dense.append(row)
+        return dense
 
+    def squares_to_zero(b: int, rows: list, next_rows: list) -> bool:
+        if f2:
+            return f2_is_zero(f2_mul([cols[i] for i in members[b]], next_rows))
+        return int_is_zero(int_mul(rows, next_rows))
+
+    live = [any(cols[i] for i in m) for m in members]
+    rank = [0] * len(names)
+    torsion: Dict[int, Tuple[int, ...]] = {}
+    seen = [False] * len(names)
+
+    def walk(b: int) -> None:
+        rows = matrix(b)
+        while True:
+            seen[b] = True
+            if f2:
+                rank[b] = f2_rank(rows)
+            else:
+                factors = smith_invariant_factors(rows)
+                rank[b] = len(factors)
+                torsion[nxt[b]] = tuple(f for f in factors if f > 1)
+            t = nxt[b]
+            if t < 0 or not live[t]:
+                return
+            next_rows = matrix(t)
+            if not squares_to_zero(b, rows, next_rows):
+                raise InvalidDiagram(
+                    [f"differential does not square to zero from block {names[b]}"]
+                )
+            if seen[t]:
+                return
+            b, rows = t, next_rows
+
+    heads = set(range(len(names))) - {t for b, t in enumerate(nxt) if live[b]}
+    for b in sorted(heads) + list(range(len(names))):
+        if live[b] and not seen[b]:
+            walk(b)
+
+    incoming = [0] * len(names)
+    for b, t in enumerate(nxt):
+        if live[b]:
+            incoming[t] += rank[b]
     out: Dict[Hashable, Tuple[int, Tuple[int, ...]]] = {}
-    for k, n in sizes.items():
-        free = n - rank.get(k, 0) - incoming.get(k, 0)
-        tors = torsion.get(k, ())
+    for b, k in enumerate(names):
+        free = len(members[b]) - rank[b] - incoming[b]
+        tors = torsion.get(b, ())
         if free or tors:
             out[k] = (free, tors)
     return out

@@ -11,6 +11,7 @@ import pytest
 
 from graphhom.bigraded import BigradedDims
 from graphhom.catalog import (
+    braid_closure,
     figure_eight,
     hopf_negative,
     hopf_positive,
@@ -180,7 +181,15 @@ def _oracle_grids():
         for n in range(2, 7)
         for k in range(2)
     ]
-    return census + stabilized + randoms
+    # Wide grids, where the sweep's marker-free widths cut rectangles
+    # short: T(2,5)'s simplified grid and a random one, both n = 7.
+    t25 = simplify_grid(pd_to_grid(braid_closure([1] * 5, 2)))
+    assert t25.n == 7
+    wide = [
+        pytest.param(t25, id="T(2,5)"),
+        pytest.param(random_grid(rng, 7), id="random7"),
+    ]
+    return census + stabilized + randoms + wide
 
 
 ORACLE_GRIDS = _oracle_grids()

@@ -8,6 +8,7 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from graphhom import catalog
 from graphhom.diagrams import GraphDiagram, disjoint_union, connected_sum
@@ -25,8 +26,13 @@ from graphhom.invariants import (
     reduce_diagram,
     reverse_component,
     smoothing_circles,
+    _switch_crossing,
+    _wirtinger_arcs,
 )
-from graphhom.laurent import Laurent, T, Z
+from graphhom.laurent import Laurent, T, Z, normalize_alexander
+from graphhom.moves import random_move_sequence
+from test_laurent import conway_to_alexander
+from test_linalg import KHOVANOV_Z_BRAIDS
 
 
 def L(tag, terms):
@@ -339,6 +345,8 @@ def test_link_only_guards():
     with pytest.raises(InvalidDiagram):
         conway(theta)
     with pytest.raises(InvalidDiagram):
+        alexander(theta)
+    with pytest.raises(InvalidDiagram):
         determinant(theta)
 
 
@@ -349,3 +357,128 @@ def test_empty_diagram_is_invalid(invariant):
     empty = GraphDiagram.from_json({"crossings": [], "loops": 0})
     with pytest.raises(InvalidDiagram, match="at least one component"):
         invariant(empty)
+
+
+# -- Wirtinger Alexander polynomial against the skein route --------------------
+
+
+def skein_alexander(d):
+    return normalize_alexander(conway_to_alexander(conway(d)))
+
+
+def orientations(d):
+    """d with every subset of its components reversed."""
+    _, labels = d.split_components()
+    comps = sorted(set(labels.values()))
+    out = []
+    for mask in range(1 << len(comps)):
+        cur = d
+        for bit, comp in enumerate(comps):
+            if mask >> bit & 1:
+                cur = reverse_component(cur, comp)
+        out.append(cur)
+    return out
+
+
+CATALOG_LINKS = [
+    catalog.unknot(),
+    catalog.unknot_kink(1),
+    catalog.unknot_kink(-1),
+    catalog.unlink(2),
+    catalog.hopf_positive(),
+    catalog.hopf_negative(),
+    catalog.trefoil_right(),
+    catalog.trefoil_left(),
+    catalog.figure_eight(),
+]
+
+# The braids of the benchmark's floer-links and khovanov-z workloads.
+BENCHMARK_BRAIDS = [
+    ([1, -2, 1, -2], 3),
+    ([1, 1, 1, 2, -1, 2], 3),
+    ([1, -2] * 3, 3),
+    ([1, -2] * 6, 3),
+] + KHOVANOV_Z_BRAIDS
+
+
+@pytest.mark.parametrize(
+    "d",
+    [pytest.param(census_link(name), id=name) for name in CENSUS_LINKS]
+    + [pytest.param(d, id=f"catalog-{k}") for k, d in enumerate(CATALOG_LINKS)],
+)
+def test_alexander_matches_skein_on_census_and_catalog(d):
+    for cur in orientations(d):
+        assert alexander(cur) == skein_alexander(cur)
+
+
+@pytest.mark.parametrize(
+    "word, strands",
+    BENCHMARK_BRAIDS,
+    ids=["braid(" + ",".join(map(str, w)) + ")" for w, _ in BENCHMARK_BRAIDS],
+)
+def test_alexander_matches_skein_on_benchmark_braids(word, strands):
+    for cur in orientations(catalog.braid_closure(word, strands)):
+        assert alexander(cur) == skein_alexander(cur)
+
+
+def test_alexander_matches_skein_on_scrambled_diagrams():
+    # R1-R3 moves leave the diagram unreduced: kinks, bigons and
+    # over-arcs that the Wirtinger rows must fuse correctly.
+    kinds = set()
+    for seed in range(12):
+        base = census_link(CENSUS_LINKS[seed % len(CENSUS_LINKS)])
+        d, moves = random_move_sequence(
+            base, count=8, seed=500 + seed, budget=len(base.crossings) + 5,
+            kinds={"R1", "R2", "R3"},
+        )
+        kinds |= {(m.kind, m.insert) for m in moves}
+        assert alexander(d) == skein_alexander(d)
+    assert {("R1", True), ("R2", True), ("R3", True)} <= kinds
+
+
+def test_alexander_of_split_diagrams_is_zero():
+    hopf = catalog.hopf_positive()
+    # Switching one clasp crossing lays one component over the other:
+    # it never passes under, so it adds an over-arc class with no row.
+    over = _switch_crossing(hopf, 0)
+    assert _wirtinger_arcs(over)[0] == len(over.crossings) + 1
+    borromean_on_top = BORROMEAN
+    _, labels = BORROMEAN.split_components()
+    for i, c in enumerate(BORROMEAN.crossings):
+        if labels[c[0]] == 0:  # component 0 passes under here
+            borromean_on_top = _switch_crossing(borromean_on_top, i)
+    assert _wirtinger_arcs(borromean_on_top)[0] == len(BORROMEAN.crossings) + 1
+    split = [
+        over,
+        borromean_on_top,
+        disjoint_union(catalog.trefoil_right(), catalog.unknot()),
+        disjoint_union(catalog.hopf_positive(), catalog.figure_eight()),
+        catalog.unlink(3),
+    ]
+    for d in split:
+        assert skein_alexander(d).is_zero()
+        assert alexander(d).is_zero()
+        assert determinant(d) == 0
+
+
+def test_alexander_of_loop_diagrams():
+    one = GraphDiagram.from_json({"crossings": [], "loops": 1})
+    assert alexander(one) == skein_alexander(one) == Laurent.one(T)
+    two = GraphDiagram.from_json({"crossings": [], "loops": 2})
+    assert alexander(two).is_zero() and skein_alexander(two).is_zero()
+
+
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(min_value=2, max_value=4))
+    gen = st.integers(min_value=1, max_value=strands - 1)
+    letter = st.tuples(gen, st.booleans()).map(lambda p: p[0] if p[1] else -p[0])
+    return draw(st.lists(letter, min_size=1, max_size=8)), strands
+
+
+@settings(max_examples=60, deadline=None)
+@given(braid_words())
+def test_alexander_matches_skein_on_random_braids(braid):
+    word, strands = braid
+    d = catalog.braid_closure(word, strands)
+    assert alexander(d) == skein_alexander(d)

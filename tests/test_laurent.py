@@ -11,7 +11,6 @@ from graphhom.laurent import (
     T,
     UT,
     Z,
-    conway_to_alexander,
     euler_substitute,
     exact_divide,
     normalize_alexander,
@@ -92,6 +91,21 @@ def test_normalize_alexander_centers_and_signs():
     q = Laurent(T, {(1,): -1, (-1,): 1})
     assert normalize_alexander(q) == Laurent(T, {(1,): 1, (-1,): -1})
     assert normalize_alexander(Laurent.zero(T)).is_zero()
+
+
+def conway_to_alexander(nabla):
+    """Substitute z = t^(1/2) - t^(-1/2) into a skein polynomial: the
+    skein route to the Alexander polynomial, kept as the oracle for the
+    Wirtinger route of ``invariants.alexander``."""
+    if nabla.vars != Z:
+        raise TagMismatch("expected a polynomial in z")
+    z_image = Laurent(T, {(1,): 1, (-1,): -1})
+    out = Laurent.zero(T)
+    for (dz,), coeff in nabla.terms.items():
+        if dz % 2 != 0 or dz < 0:
+            raise ValueError("skein polynomials have nonnegative integer z powers")
+        out = out + (z_image ** (dz // 2)).scale(coeff)
+    return out
 
 
 def test_conway_to_alexander_on_known_skeins():

@@ -1,8 +1,9 @@
 """Rank, Smith form and block homology checks against hand-computable
-matrices and complexes, and the Smith form against a dense reference."""
+matrices and complexes, the Smith form against a dense reference, and
+the block walk against the all-blocks reference."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from graphhom import linalg
 from graphhom.catalog import braid_closure
@@ -29,10 +30,13 @@ def test_f2_rank_basic():
 
 
 def test_f2_mul_and_zero():
-    # [[1,1],[0,1]] squared over F2 is [[1,0],[0,1]]
-    a = [0b11, 0b10]
-    assert f2_mul(a, a) == [0b01, 0b10]
-    assert f2_is_zero(f2_mul([0b11], [0b1, 0b1]))
+    # [[1,1],[0,1]] squared over F2 is [[1,0],[0,1]]; the left factor
+    # lists each row's nonzero columns, the right one is bitset rows.
+    a = [[0, 1], [1]]
+    assert f2_mul(a, [0b11, 0b10]) == [0b01, 0b10]
+    assert f2_is_zero(f2_mul([[0, 1]], [0b1, 0b1]))
+    # A column listed twice cancels.
+    assert f2_mul([[1, 1], []], [0b1, 0b10]) == [0, 0]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=8))
@@ -257,9 +261,178 @@ def test_square_zero_only_mod_2():
 
 
 @pytest.mark.parametrize("ring", ["f2", "z"])
+@pytest.mark.parametrize("y_first", [True, False], ids=["from-100", "from-101"])
+def test_square_checked_around_a_cycle(ring, y_first):
+    # Blocks 100 and 101 map into each other.  x -> y -> z runs
+    # 101 -> 100 -> 101 and nothing runs 100 -> 101 -> 100, so only one
+    # of the two products is nonzero; the walk must check both, from
+    # whichever block it starts.
+    if y_first:
+        keys, x, y, z = [100, 101, 101], 1, 0, 2
+    else:
+        keys, x, y, z = [101, 100, 101], 0, 1, 2
+    with pytest.raises(InvalidDiagram, match="square to zero"):
+        block_homology(keys, [(x, y, 1), (y, z, 1)], _chain_or_cycle, ring)
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
 def test_entry_outside_target_block_raises(ring):
     with pytest.raises(InvalidDiagram, match="leaves block"):
         block_homology([0, 1, 2], [(0, 2, 1)], _up, ring)
     # Also when the target block has no generators at all.
     with pytest.raises(InvalidDiagram, match="leaves block"):
         block_homology([0, 2], [(0, 1, 1)], _up, ring)
+
+
+# -- the block walk against the all-blocks reference ---------------------------
+
+
+def reference_block_homology(keys, edges, target, ring):
+    """``block_homology`` as first written: every block's bitset or dense
+    rows are built at once, and d∘d is checked over F2 by peeling the set
+    bits of each bitset row."""
+
+    def bitset_mul(a_rows, b_rows):
+        out = []
+        for a in a_rows:
+            acc = 0
+            x = a
+            while x:
+                j = (x & -x).bit_length() - 1
+                acc ^= b_rows[j]
+                x &= x - 1
+            out.append(acc)
+        return out
+
+    pos, sizes = [], {}
+    for k in keys:
+        n = sizes.get(k, 0)
+        pos.append(n)
+        sizes[k] = n + 1
+    f2 = ring == "f2"
+    mats, targets = {}, {}
+    for i, j, coeff in edges:
+        k = keys[i]
+        rows = mats.get(k)
+        if rows is None:
+            t = targets[k] = target(k)
+            if f2:
+                rows = mats[k] = [0] * sizes[k]
+            else:
+                rows = mats[k] = [[0] * sizes.get(t, 0) for _ in range(sizes[k])]
+        if keys[j] != targets[k]:
+            raise InvalidDiagram([f"differential entry leaves block {k} for {keys[j]}"])
+        if f2:
+            if coeff % 2:
+                rows[pos[i]] ^= 1 << pos[j]
+        else:
+            rows[pos[i]][pos[j]] += coeff
+    mul, is_zero = (bitset_mul, f2_is_zero) if f2 else (int_mul, int_is_zero)
+    for k, rows in mats.items():
+        nxt = mats.get(targets[k])
+        if nxt is not None and not is_zero(mul(rows, nxt)):
+            raise InvalidDiagram([f"differential does not square to zero from block {k}"])
+    rank, torsion = {}, {}
+    for k, rows in mats.items():
+        if f2:
+            rank[k] = f2_rank(rows)
+        else:
+            factors = smith_invariant_factors(rows)
+            rank[k] = len(factors)
+            torsion[targets[k]] = tuple(f for f in factors if f > 1)
+    incoming = {t: rank[k] for k, t in targets.items()}
+    out = {}
+    for k, n in sizes.items():
+        free = n - rank.get(k, 0) - incoming.get(k, 0)
+        tors = torsion.get(k, ())
+        if free or tors:
+            out[k] = (free, tors)
+    return out
+
+
+def _chain_or_cycle(k):
+    """Blocks 0, 1, ... form a chain; blocks 100 and 101 a 2-cycle."""
+    return 201 - k if k in (100, 101) else k + 1
+
+
+@st.composite
+def block_complexes(draw):
+    """(keys, edges, homology) of a random chain complex with d∘d = 0.
+
+    The complex starts as a sum of cancelling pairs a -> m b and isolated
+    generators, so the F2 and Z homology are known, and is then scrambled
+    by basis changes e_p -> e_p + e_q within a block: row p of the block's
+    matrix gains row q, and the matrix into the block loses column p from
+    column q.  Blocks may end up empty, edgeless, or between two edgeless
+    blocks of the chain; generators of all blocks interleave.
+    """
+    blocks = list(range(draw(st.integers(min_value=1, max_value=5))))
+    if draw(st.booleans()):
+        blocks += [100, 101]
+    rows = {k: [] for k in blocks}  # rows[k][p] = {target position: coeff}
+    size = dict.fromkeys(blocks, 0)
+    expected = {}
+    for k in blocks:
+        t = _chain_or_cycle(k)
+        for _ in range(draw(st.integers(min_value=0, max_value=2)) if t in size else 0):
+            # Only order-2 torsion, so the expected orders need no Smith form.
+            m = draw(st.sampled_from([1, 1, -1, 2, -2]))
+            rows[k].append({size[t]: m})
+            rows[t].append({})
+            size[k] += 1
+            size[t] += 1
+            if m in (2, -2):
+                free, tors = expected.get(t, (0, ()))
+                expected[t] = (free, tors + (2,))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            rows[k].append({})
+            size[k] += 1
+            free, tors = expected.get(k, (0, ()))
+            expected[k] = (free + 1, tors)
+    into = {_chain_or_cycle(k): k for k in blocks}
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        k = draw(st.sampled_from(blocks))
+        if size[k] < 2:
+            continue
+        p = draw(st.integers(min_value=0, max_value=size[k] - 1))
+        q = draw(st.integers(min_value=0, max_value=size[k] - 1))
+        if p == q:
+            continue
+        for j, v in rows[k][q].items():
+            rows[k][p][j] = rows[k][p].get(j, 0) + v
+        for row in rows.get(into.get(k), []):
+            if p in row:
+                row[q] = row.get(q, 0) - row[p]
+    gens = [(k, p) for k in blocks for p in range(size[k])]
+    order = draw(st.permutations(range(len(gens))))
+    index = {gens[g]: i for i, g in enumerate(order)}
+    keys = [gens[g][0] for g in order]
+    edges = []
+    for k in blocks:
+        t = _chain_or_cycle(k)
+        for p, row in enumerate(rows[k]):
+            for j, v in row.items():
+                if v:
+                    edges.append((index[k, p], index[t, j], v))
+    return keys, edges, expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(block_complexes(), st.sampled_from(["f2", "z"]), st.data())
+def test_block_walk_matches_all_blocks_reference(complex_, ring, data):
+    keys, edges, expected = complex_
+    if edges and data.draw(st.booleans()):
+        # A stray entry inside the target block usually breaks d∘d = 0.
+        i, j, _ = data.draw(st.sampled_from(edges))
+        partners = [g for g, k in enumerate(keys) if k == keys[j]]
+        edges = edges + [(i, data.draw(st.sampled_from(partners)), 1)]
+        expected = None
+    try:
+        want = reference_block_homology(keys, iter(edges), _chain_or_cycle, ring)
+    except InvalidDiagram:
+        with pytest.raises(InvalidDiagram, match="square to zero"):
+            block_homology(keys, iter(edges), _chain_or_cycle, ring)
+        return
+    assert block_homology(keys, iter(edges), _chain_or_cycle, ring) == want
+    if expected is not None and ring == "z":
+        assert want == expected
