@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import reduce
 from importlib import resources
 from typing import Dict, List, Optional, Tuple
@@ -70,11 +69,17 @@ def _load_json(path: str) -> dict:
 
 _DIAGRAM_KEYS = {"crossings", "vertices", "loops", "orientations"}
 
+# Most crossing-free loops a document may hold.  Khovanov homology puts
+# every loop into each generator, so its time doubles per loop:
+# ``khovanov`` and ``graph-homology`` answer {"loops": 18} in about 1 s.
+LOOP_CAP = 18
+
 
 def _diagram_from_doc(doc, path: str) -> GraphDiagram:
     """Parse and validate a diagram document; one with foreign keys (a
     grid, say), one describing no crossing, vertex or loop, or one that
-    fails ``validate`` (non-planar included) is unusable input."""
+    fails ``validate`` (non-planar included) is unusable input, and so
+    is one with more than ``LOOP_CAP`` loops."""
     if isinstance(doc, dict) and not set(doc) <= _DIAGRAM_KEYS:
         unknown = ", ".join(sorted(repr(k) for k in set(doc) - _DIAGRAM_KEYS))
         raise _Exit(2, f"{path}: invalid diagram: unknown keys {unknown}")
@@ -86,6 +91,8 @@ def _diagram_from_doc(doc, path: str) -> GraphDiagram:
         raise _Exit(2, f"{path}: not a diagram document: {exc}")
     if not (d.crossings or d.vertices or d.loops):
         raise _Exit(2, f"{path}: invalid diagram: it has no crossings, vertices or loops")
+    if d.loops > LOOP_CAP:
+        raise _Exit(2, f"{path}: invalid diagram: {d.loops} loops exceed LOOP_CAP = {LOOP_CAP}")
     return d
 
 
@@ -231,6 +238,8 @@ def _cmd_graph_homology(args) -> int:
     )
     try:
         if args.jobs > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 report = graph_homology(d, mapper=pool.map, **kwargs)
         else:
@@ -337,6 +346,8 @@ def _cmd_census(args) -> int:
         return 0
     work = [(name, args.write_golden) for name in names]
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             statuses = list(pool.map(_census_worker, work))
     else:

@@ -165,10 +165,12 @@ def _rectangles(n: int, shift: int, codes: List[int], blocked: List[List[int]]):
 
     Swapping x[ra] = ca and x[rb] = cb changes the code by
     (cb - ca) (2^(s ra) - 2^(s rb)), so a target is one dict lookup.
-    ``steps[ra][ca][length - 1][cb]`` holds the width cb - ca mod n and
-    that code change, or None for a rectangle that holds a marker.  A
-    pair joined by two rectangles yields two edges, which cancel mod 2
-    where ``linalg.block_homology`` sums them.
+    ``steps[ra][ca]`` lists, for each length in sweep order, the pair
+    (rb, table) with rb = ra + length mod n and ``table[cb]`` holding
+    the width cb - ca mod n and that code change, or None for a
+    rectangle that holds a marker; the sweep reads ``table[x[rb]]``
+    directly.  A pair joined by two rectangles yields two edges, which
+    cancel mod 2 where ``linalg.block_homology`` sums them.
     """
     cols = _cell_masks(n, range(n))
     weight = [1 << (shift * r) for r in range(n)]
@@ -181,23 +183,20 @@ def _rectangles(n: int, shift: int, codes: List[int], blocked: List[List[int]]):
                 widest = max(w for w in range(n) if not brow[length] & cols[ca][w])
                 if not widest:
                     break
-                dw = weight[ra] - weight[(ra + length) % n]
-                sweep.append(tuple(
+                rb = (ra + length) % n
+                dw = weight[ra] - weight[rb]
+                sweep.append((rb, tuple(
                     ((cb - ca) % n, (cb - ca) * dw if (cb - ca) % n <= widest else None)
                     for cb in range(n)
-                ))
+                )))
             per_corner.append(sweep)
         steps.append(per_corner)
     gidx = {code: i for i, code in enumerate(codes)}
     for ix, (x, code) in enumerate(zip(permutations(range(n)), codes)):
-        xx = x + x
-        for ra in range(n):
-            sweep = steps[ra][x[ra]]
-            if not sweep:
-                continue
+        for ra, per_corner in enumerate(steps):
             least = n  # smallest column offset among the rows passed
-            for cb, table in zip(xx[ra + 1:], sweep):
-                width, delta = table[cb]
+            for rb, table in per_corner[x[ra]]:
+                width, delta = table[x[rb]]
                 if width < least:
                     if delta is not None:
                         yield ix, gidx[code + delta], 1

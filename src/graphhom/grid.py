@@ -488,14 +488,14 @@ def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
     """One grid per split piece of the oriented link: reduce, then braid
     each connected piece and give each loop the 2 x 2 unknot grid.
 
-    Piece words short enough to afford a bracket computation are checked
-    against the input by fingerprint before use: a bracket over 2^c
-    smoothing states costs what a Khovanov cube of c crossings does, so
-    the Khovanov crossing cap bounds the word length checked.  A
-    fingerprint takes one bracket for all orientations of the link, with
-    the states counted by smoothing and circle number, so checking a
-    word costs two brackets (closure and piece) whatever the component
-    count.
+    Piece words up to the Khovanov crossing cap are checked against the
+    input by fingerprint before use.  A fingerprint takes one bracket for
+    all orientations of the link, and the bracket's cost follows the
+    diagram's width, not its 2^c states; but it also takes one Alexander
+    polynomial per orientation, a determinant per evaluation point whose
+    size grows with the word, so checking longer words would add that
+    work twice (closure and piece) for each orientation.  Words past the
+    cap are used unchecked.
     """
     if not d.is_link():
         raise InvalidDiagram(["grid conversion expects a link diagram"])

@@ -331,11 +331,14 @@ def _r4_insert(d: GraphDiagram, corner: Dart, da: Dart, over: bool) -> GraphDiag
     return GraphDiagram(crossings, vertices, d.loops, heads)
 
 
-def _r4_remove(d: GraphDiagram, vi: int, j: int) -> GraphDiagram:
+def _r4_fan(d: GraphDiagram, vi: int, j: int, ends: Dict[int, List[Endpoint]]) -> List[int]:
+    """Crossings of a strand slid across vertex vi, the fan read from
+    slot j; PatternMismatch unless the edges from vi run one by one into
+    distinct crossings chained along a strand that passes uniformly over
+    or under them.  ``ends`` is ``d.arc_endpoints()``."""
     if not 0 <= vi < len(d.vertices):
         raise PatternMismatch(f"no vertex {vi}")
     deg = len(d.vertices[vi])
-    ends = d.arc_endpoints()
     passes: List[Tuple[int, int]] = []  # (crossing, vertex-side slot there)
     for t in range(deg):
         i = (j + t) % deg
@@ -357,8 +360,12 @@ def _r4_remove(d: GraphDiagram, vi: int, j: int) -> GraphDiagram:
         there = {d.crossings[xn][(sn + 1) % 4], d.crossings[xn][(sn + 3) % 4]}
         if not here & there:
             raise PatternMismatch("fan crossings are not chained along one strand")
+    return xs
+
+
+def _r4_remove(d: GraphDiagram, vi: int, j: int) -> GraphDiagram:
     out = d
-    for xt in sorted(xs, reverse=True):
+    for xt in sorted(_r4_fan(d, vi, j, d.arc_endpoints()), reverse=True):
         out = splice_crossing(out, xt)
     return out
 
@@ -541,25 +548,22 @@ def legal_sites(d: GraphDiagram, kinds: Optional[set] = None) -> List[MoveSite]:
                         for over in (False, True):
                             sites.append(MoveSite("R2", True, (da, db, over)))
         if want("R4"):
-            ends = None
             for corner in f:
                 if corner[0] != "v":
                     continue
-                if ends is None:
-                    ends = d.arc_endpoints()
                 for da in f:
                     if da == corner:
                         continue
-                    a = d.arc_at(da)
-                    if any(e[:2] == ("v", corner[1]) for e in ends[a]):
-                        continue
+                    if d.arc_at(da) in d.vertices[corner[1]]:
+                        continue  # the strand would end on the slide vertex
                     for over in (False, True):
                         sites.append(MoveSite("R4", True, (corner, da, over)))
     if want("R4"):
+        ends = d.arc_endpoints()
         for vi, v in enumerate(d.vertices):
             for j in range(len(v)):
                 try:
-                    _r4_remove(d, vi, j)
+                    _r4_fan(d, vi, j, ends)
                 except PatternMismatch:
                     continue
                 sites.append(MoveSite("R4", False, (vi, j)))

@@ -19,7 +19,7 @@ from graphhom.catalog import (
     theta,
     trefoil_right,
 )
-from graphhom.cli import main
+from graphhom.cli import LOOP_CAP, main
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -122,6 +122,24 @@ def test_non_diagram_document_exit_two(command, text, tmp_path, capsys):
     assert code == 2
     assert "invalid diagram" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=lambda c: c[0])
+def test_loops_over_cap_exit_two(command, tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"loops": LOOP_CAP + 1}))
+    code = main([command[0], str(p), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "LOOP_CAP" in err and "Traceback" not in err
+
+
+def test_loops_at_cap_are_valid(tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps({"loops": LOOP_CAP}))
+    code, out = run_cli(["validate", str(p)], capsys=capsys)
+    assert code == 0
+    assert json.loads(out)["components"] == LOOP_CAP
 
 
 @pytest.mark.parametrize(
@@ -320,7 +338,8 @@ def test_stdin_dash(capsys):
 
 
 # Small numbers only: a document with many loops is a valid unlink whose
-# Khovanov and graph homology take exponential time.
+# Khovanov and graph homology take exponential time.  Only "loops" also
+# draws large counts, which must hit LOOP_CAP.
 _leaves = (
     st.none()
     | st.booleans()
@@ -340,7 +359,7 @@ json_shapes = _json | st.fixed_dictionaries(
     optional={
         "crossings": _json | _short_crossings,
         "vertices": _json | _short_crossings,
-        "loops": _json,
+        "loops": _json | st.integers(0, 10**5),
         "orientations": _json,
     },
 )
@@ -349,11 +368,13 @@ json_shapes = _json | st.fixed_dictionaries(
 @st.composite
 def pd_codes(draw):
     """A link PD code with 0-3 crossings: every arc label sits in exactly
-    two slots, but orientations and planarity are left to chance."""
+    two slots, but orientations and planarity are left to chance.  The
+    loop count is small or over LOOP_CAP."""
     n = draw(st.integers(0, 3))
     labels = draw(st.permutations([a for a in range(2 * n) for _ in (0, 1)]))
     crossings = [labels[4 * i:4 * i + 4] for i in range(n)]
-    return {"crossings": crossings, "loops": draw(st.integers(0, 2))}
+    loops = draw(st.integers(0, 2) | st.integers(LOOP_CAP + 1, 10**5))
+    return {"crossings": crossings, "loops": loops}
 
 
 def planar(crossings):
@@ -414,8 +435,13 @@ FUZZ = settings(
 
 def assert_exits_cleanly(doc):
     """Every compute subcommand exits 0, 1 or 2 without a traceback, and
-    2 on a PD code that is not planar."""
+    2 on a PD code that is not planar or on more loops than LOOP_CAP."""
     text = json.dumps(doc)
+    too_many_loops = (
+        isinstance(doc, dict)
+        and isinstance(doc.get("loops"), int)
+        and doc["loops"] > LOOP_CAP
+    )
     nonplanar = (
         isinstance(doc, dict)
         and set(doc) == {"crossings", "loops"}
@@ -427,7 +453,7 @@ def assert_exits_cleanly(doc):
         code, _, err = run_on_stdin([command[0], "-", *command[1:]], text)
         assert code in (0, 1, 2), (command, text, err)
         assert "Traceback" not in err
-        if nonplanar:
+        if nonplanar or too_many_loops:
             assert code == 2, (command, text, err)
 
 

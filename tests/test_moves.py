@@ -319,3 +319,31 @@ def test_legal_sites_all_apply():
             out = apply_move(d, s)
             out.validate_strict()
             assert out.euler_ok()
+
+
+def reference_r4_removals(d):
+    """R4 removal sites found by running the whole removal, splice
+    included, at every vertex slot."""
+    sites = []
+    for vi, v in enumerate(d.vertices):
+        for j in range(len(v)):
+            site = MoveSite("R4", False, (vi, j))
+            try:
+                apply_move(d, site)
+            except PatternMismatch:
+                continue
+            sites.append(site)
+    return sites
+
+
+def test_legal_sites_r4_removals_match_full_removal():
+    found = 0
+    for make in (theta, handcuff, hopf_handcuff):
+        for seed in range(1, 8):
+            d, _ = random_move_sequence(make(), count=6, seed=seed, kinds={"R4", "R5"})
+            want = reference_r4_removals(d)
+            got = [s for s in legal_sites(d) if s.kind == "R4" and not s.insert]
+            assert got == want
+            assert [s for s in legal_sites(d, kinds={"R4"}) if not s.insert] == want
+            found += len(want)
+    assert found
