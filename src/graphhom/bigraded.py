@@ -5,7 +5,7 @@ half-integer gradings stay exact integers."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .laurent import Laurent
 
@@ -64,14 +64,6 @@ class BigradedDims:
         for (i, j), (r, t) in sorted(self.dims.items()):
             table[f"{i},{j}"] = {"rank": r, "torsion": list(t)}
         return table
-
-    @staticmethod
-    def from_json(doc: dict) -> "BigradedDims":
-        dims: Dict[Bigrading, Entry] = {}
-        for key, val in doc.items():
-            i, j = (int(p) for p in key.split(","))
-            dims[(i, j)] = (int(val["rank"]), tuple(int(x) for x in val["torsion"]))
-        return BigradedDims(dims)
 
     def __iter__(self) -> Iterable[Tuple[Bigrading, Entry]]:
         return iter(sorted(self.dims.items()))

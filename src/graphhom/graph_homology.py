@@ -11,12 +11,10 @@ Euler verdict from pass/fail to partial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
-from .errors import CapExceeded
 from .floer import (
     FLOER_GRID_CAP,
     euler_matches_skein,
@@ -184,19 +182,21 @@ def khovanov_fields(
 
 
 def _member_fields(
-    fm,
-    floer: bool,
-    khovanov: bool,
-    coeffs: str,
-    grid_cap: int,
-    crossing_cap: int,
+    diagram: GraphDiagram,
+    floer: bool = True,
+    khovanov: bool = True,
+    coeffs: str = "z",
+    grid_cap: int = FLOER_GRID_CAP,
+    crossing_cap: int = KHOVANOV_CROSSING_CAP,
 ) -> dict:
+    """The ``MemberReport`` fields of one link diagram: the one per-link
+    path that census link entries and every family member go through."""
     fields: dict = {}
     if floer:
-        pieces = [simplify_grid(g) for g in piece_grids(fm.diagram)]
-        fields.update(floer_fields(pieces, fm.diagram, grid_cap))
+        pieces = [simplify_grid(g) for g in piece_grids(diagram)]
+        fields.update(floer_fields(pieces, diagram, grid_cap))
     if khovanov:
-        fields.update(khovanov_fields(fm.diagram, coeffs, crossing_cap))
+        fields.update(khovanov_fields(diagram, coeffs, crossing_cap))
     return fields
 
 
@@ -208,24 +208,9 @@ def graph_homology(
     grid_cap: int = FLOER_GRID_CAP,
     crossing_cap: int = KHOVANOV_CROSSING_CAP,
     multiset: bool = False,
-    mapper: Callable = map,
 ) -> GraphHomologyReport:
-    """Direct-sum homology report over the graph's link family.
-
-    ``mapper`` lets the CLI farm the independent member computations out
-    to a process pool; results fold in family order either way.
-    """
+    """Direct-sum homology report over the graph's link family."""
     fam = family(g)
-
-    compute = partial(
-        _member_fields,
-        floer=floer,
-        khovanov=khovanov,
-        coeffs=coeffs,
-        grid_cap=grid_cap,
-        crossing_cap=crossing_cap,
-    )
-    all_fields = list(mapper(compute, fam.members))
 
     members: List[MemberReport] = []
     agg_f = BigradedDims({})
@@ -237,7 +222,8 @@ def graph_homology(
     floer_states: List[str] = []
     khov_states: List[str] = []
 
-    for fm, fields in zip(fam.members, all_fields):
+    for fm in fam.members:
+        fields = _member_fields(fm.diagram, floer, khovanov, coeffs, grid_cap, crossing_cap)
         weight = _weight(fm.multiplicity, multiset)
         if floer:
             if "floer" in fields:

@@ -85,12 +85,27 @@ def _coeff_tag(coeffs: str) -> str:
 def khovanov_homology(
     d: GraphDiagram, coeffs: str = "z", cap: int = KHOVANOV_CROSSING_CAP
 ) -> BigradedDims:
-    """Bigraded homology of the resolution cube; keys are (2i, 2j).
+    """Bigraded homology of the link diagram; keys are (2i, 2j).
 
     Over Z the table carries free ranks and torsion orders from Smith
-    normal form; over F2 it carries dimensions.  ``linalg.block_homology``
-    checks d∘d = 0 before ranks are extracted.
+    normal form; over F2 it carries dimensions.  The resolution cube is
+    built without the crossing-free loops (one is kept on a diagram
+    with no crossings), and each removed loop then tensors the table
+    with V = q + q^-1: the complex of L u O is C(L) (x) V, and V is free,
+    so Kunneth adds no Tor term over Z (Khovanov, arXiv:math/9908171).
     """
+    extra = d.loops if d.crossings else max(d.loops - 1, 0)
+    core = GraphDiagram(d.crossings, d.vertices, d.loops - extra, d.heads)
+    dims = _cube_homology(core, coeffs, cap)
+    for _ in range(extra):
+        up = BigradedDims({(i, j + 2): e for (i, j), e in dims.dims.items()})
+        dims = up.add(BigradedDims({(i, j - 2): e for (i, j), e in dims.dims.items()}))
+    return dims
+
+
+def _cube_homology(d: GraphDiagram, coeffs: str, cap: int) -> BigradedDims:
+    """Homology of the whole resolution cube of ``d``, loops included;
+    ``linalg.block_homology`` checks d∘d = 0 before ranks are extracted."""
     tag = _coeff_tag(coeffs)
     cube = build_cube(d, cap)
     shift = cube.n_plus - 2 * cube.n_minus

@@ -11,8 +11,7 @@ class; the variable tuple acts as a tag and mixing tags raises TagMismatch.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict, Tuple
 
 from .errors import DeconvolutionError, TagMismatch
 
@@ -114,31 +113,12 @@ class Laurent:
     def coeff(self, doubled_exponents: Monomial) -> int:
         return self.terms.get(tuple(doubled_exponents), 0)
 
-    def support(self) -> Iterable[Monomial]:
-        return sorted(self.terms)
-
     def degree_span(self, axis: int = 0) -> Tuple[int, int]:
         """Min and max doubled exponent along one variable axis."""
         if not self.terms:
             raise ValueError("zero polynomial has no degree span")
         exps = [e[axis] for e in self.terms]
         return min(exps), max(exps)
-
-    def evaluate(self, values: Tuple[Fraction, ...]) -> Fraction:
-        """Evaluate at rational points given per variable.
-
-        Fails on genuinely half-integer exponents since those need a
-        square root; callers evaluating at squares should substitute first.
-        """
-        total = Fraction(0)
-        for expo, coeff in self.terms.items():
-            term = Fraction(coeff)
-            for e, v in zip(expo, values):
-                if e % 2 != 0:
-                    raise ValueError("cannot evaluate a half-integer exponent at a rational point")
-                term *= Fraction(v) ** (e // 2)
-            total += term
-        return total
 
     # -- rendering ---------------------------------------------------------
 

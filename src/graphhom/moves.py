@@ -480,7 +480,9 @@ def _r5_remove(d: GraphDiagram, dart: Dart) -> GraphDiagram:
 
 # -- dispatch, inverses, enumeration, random walks ------------------------------
 
-def _apply(d: GraphDiagram, s: MoveSite) -> GraphDiagram:
+def apply_move(d: GraphDiagram, s: MoveSite) -> GraphDiagram:
+    """Rewrite d at the given site; PatternMismatch if the site does not
+    match its local pattern."""
     if s.kind == "R1":
         return _r1_insert(d, *s.params) if s.insert else _r1_remove(d, *s.params)
     if s.kind == "R2":
@@ -492,12 +494,6 @@ def _apply(d: GraphDiagram, s: MoveSite) -> GraphDiagram:
     if s.kind == "R5":
         return _r5_insert(d, *s.params) if s.insert else _r5_remove(d, *s.params)
     raise PatternMismatch(f"unknown move kind {s.kind!r}")
-
-
-def apply_move(d: GraphDiagram, s: MoveSite) -> GraphDiagram:
-    """Rewrite d at the given site; PatternMismatch if the site does not
-    match its local pattern."""
-    return _apply(d, s)
 
 
 def legal_sites(d: GraphDiagram, kinds: Optional[set] = None) -> List[MoveSite]:

@@ -7,6 +7,7 @@ parsed back, so these double as determinism checks on the JSON layer.
 import io
 import json
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -142,6 +143,32 @@ def test_loops_at_cap_are_valid(tmp_path, capsys):
     assert json.loads(out)["components"] == LOOP_CAP
 
 
+def test_khovanov_trefoil_with_loops_at_cap_is_fast(tmp_path, capsys):
+    # Loops factor out of the resolution cube, so a knotted diagram with
+    # LOOP_CAP loops costs one small cube plus one tensor factor per loop.
+    doc = trefoil_right().to_json()
+    doc["loops"] = LOOP_CAP
+    p = tmp_path / "doc.json"
+    p.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run_cli(["khovanov", str(p), "--check-euler"], capsys=capsys)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert json.loads(out)["euler_check"] == "pass"
+
+
+@pytest.mark.parametrize("raw", ["12x", "abc"])
+def test_max_mem_that_is_not_a_byte_count_exits_two(raw, tref_path, monkeypatch, capsys):
+    # Both values fail to parse before setrlimit, so this process is never limited.
+    monkeypatch.setenv("GRAPHHOM_MAX_MEM", raw)
+    code = main(["validate", tref_path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "GRAPHHOM_MAX_MEM" in captured.err and "not a byte count" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "command",
     [
@@ -262,14 +289,6 @@ def test_graph_homology_full_and_summary(handcuff_path, capsys):
     assert code == 0
     summary = json.loads(out)
     assert summary["floer_poincare"] == {"-1,0": 1, "0,0": 1, "1,0": 1}
-
-
-def test_graph_homology_jobs_deterministic(tmp_path, capsys):
-    p = tmp_path / "hh.json"
-    p.write_text(json.dumps(hopf_handcuff().to_json()))
-    _, serial = run_cli(["graph-homology", str(p)], capsys=capsys)
-    _, parallel = run_cli(["graph-homology", str(p), "--jobs", "3"], capsys=capsys)
-    assert serial == parallel
 
 
 def test_graph_homology_skip_exits_one(tmp_path, capsys):

@@ -18,10 +18,13 @@ from graphhom.catalog import (
     unknot_kink,
     unlink,
 )
+from graphhom.diagrams import GraphDiagram
 from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.graph_homology import SKIP_CROSSINGS, graph_homology
 from graphhom.invariants import reduce_diagram
 from graphhom.khovanov import (
+    KHOVANOV_CROSSING_CAP,
+    _cube_homology,
     build_cube,
     graded_euler,
     khovanov_homology,
@@ -106,6 +109,30 @@ def test_trefoil_left_mirror_duality():
 
 def test_figure_eight_table():
     assert khovanov_homology(figure_eight()).dims == FIGURE_EIGHT_KH
+
+
+# -- crossing-free loops --------------------------------------------------------
+
+def _with_loops(d, k):
+    return GraphDiagram(d.crossings, d.vertices, d.loops + k, d.heads)
+
+
+LOOPED = {
+    "trefoil+1": _with_loops(trefoil_right(), 1),
+    "trefoil+2": _with_loops(trefoil_right(), 2),
+    "trefoil+3": _with_loops(trefoil_right(), 3),
+    "hopf+2": _with_loops(hopf_positive(), 2),
+    "loops4": unlink(4),
+}
+
+
+@pytest.mark.parametrize("coeffs", ["z", "f2"])
+@pytest.mark.parametrize("name", sorted(LOOPED))
+def test_loops_factor_out_of_the_cube(name, coeffs):
+    # Each removed loop tensors the table with V = q + q^-1; the cube
+    # over the whole diagram, loops included, is the slow-path oracle.
+    d = LOOPED[name]
+    assert khovanov_homology(d, coeffs) == _cube_homology(d, coeffs, KHOVANOV_CROSSING_CAP)
 
 
 # -- cube structure -----------------------------------------------------------

@@ -1,7 +1,5 @@
 """Ring laws and the exact-division / substitution helpers."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -72,14 +70,6 @@ def test_shift_and_span():
     q = p.shift((1,))
     assert q.degree_span() == (-3, 3)
     assert q.coeff((3,)) == 1
-
-
-def test_evaluate_rejects_half_integer_exponents():
-    p = Laurent(T, {(1,): 1})
-    with pytest.raises(ValueError):
-        p.evaluate((Fraction(-1),))
-    q = Laurent(T, {(2,): 1, (-2,): 1})
-    assert q.evaluate((Fraction(2),)) == Fraction(5, 2)
 
 
 def test_normalize_alexander_centers_and_signs():
