@@ -56,7 +56,7 @@ def union_classes(elements: Iterable[int], pairs: Iterable[Tuple[int, int]]) -> 
 
 
 class GraphDiagram:
-    __slots__ = ("crossings", "vertices", "loops", "heads")
+    __slots__ = ("crossings", "vertices", "loops", "heads", "_ends")
 
     def __init__(
         self,
@@ -71,6 +71,7 @@ class GraphDiagram:
         self.vertices: Tuple[Tuple[int, ...], ...] = tuple(tuple(v) for v in vertices)
         self.loops = loops
         self.heads: Dict[int, Endpoint] = dict(heads) if heads else {}
+        self._ends: Optional[Dict[int, List[Endpoint]]] = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -103,15 +104,15 @@ class GraphDiagram:
         return 4 if kind == "x" else len(self.vertices[i])
 
     def arc_endpoints(self) -> Dict[int, List[Endpoint]]:
-        out: Dict[int, List[Endpoint]] = {}
-        for a, e in self.endpoints():
-            out.setdefault(a, []).append(e)
-        return out
-
-    def partner(self, e: Endpoint) -> Endpoint:
-        a = self.arc_at(e)
-        e1, e2 = self.arc_endpoints()[a]
-        return e2 if e == e1 else e1
+        """Arc -> the endpoints it occupies, in scan order.  The table is
+        built on the first call and shared by every later one, so callers
+        must read it and never change it."""
+        if self._ends is None:
+            out: Dict[int, List[Endpoint]] = {}
+            for a, e in self.endpoints():
+                out.setdefault(a, []).append(e)
+            self._ends = out
+        return self._ends
 
     def crossing_sign(self, i: int) -> int:
         c = self.crossings[i]

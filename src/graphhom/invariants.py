@@ -123,10 +123,12 @@ def kauffman_bracket(d: GraphDiagram, cap: int = BRACKET_CROSSING_CAP) -> Lauren
     """Bracket of a link diagram; unoriented, unnormalized, <o> = 1.
 
     A state with b B-smoothings and k circles contributes
-    A^(c - 2b) (-A^2 - A^-2)^(k - 1), so states are counted by (b, k)
-    and each distinct pair costs one Laurent term.  The counts come from
-    ``_smoothing_counts``, whose cost follows the width of the diagram
-    rather than the 2^c states."""
+    A^(c - 2b) (-A^2 - A^-2)^(k - 1), so states are counted by (b, k).
+    The counts come from ``_smoothing_counts``, whose cost follows the
+    width of the diagram rather than the 2^c states.  Each distinct
+    circle count's power of the circle value is expanded once, and each
+    (b, k) pair adds that table's terms shifted by A^(c - 2b) and scaled
+    by its count."""
     if not d.is_link():
         raise InvalidDiagram(["bracket is defined for link diagrams"])
     if not d.crossings and not d.loops:
@@ -134,11 +136,17 @@ def kauffman_bracket(d: GraphDiagram, cap: int = BRACKET_CROSSING_CAP) -> Lauren
     c = len(d.crossings)
     if c > cap:
         raise CapExceeded(f"bracket state sum over {c} crossings exceeds cap {cap}")
-    out = Laurent.zero(A)
+    powers: Dict[int, Dict[Tuple[int, ...], int]] = {}
+    terms: Dict[Tuple[int, ...], int] = {}
     for (b, circles), count in _smoothing_counts(d).items():
-        term = Laurent.term(A, (2 * (c - 2 * b),), count)
-        out = out + term * DELTA ** (circles + d.loops - 1)
-    return out
+        k = circles + d.loops - 1
+        if k not in powers:
+            powers[k] = (DELTA ** k).terms
+        shift = 2 * (c - 2 * b)
+        for (e,), coeff in powers[k].items():
+            key = (e + shift,)
+            terms[key] = terms.get(key, 0) + coeff * count
+    return Laurent(A, terms)
 
 
 def _jones_from_bracket(bracket: Laurent, writhe: int) -> Laurent:
@@ -417,7 +425,13 @@ def determinant(d: GraphDiagram) -> int:
 def reverse_component(d: GraphDiagram, comp: int) -> GraphDiagram:
     """Reverse the orientation of one closed component of a link."""
     _, labels = d.split_components()
-    arcs = {a for a, k in labels.items() if k == comp}
+    return _reverse_arcs(d, {a for a, k in labels.items() if k == comp})
+
+
+def _reverse_arcs(d: GraphDiagram, arcs: set) -> GraphDiagram:
+    """Reverse every arc in ``arcs``, a union of closed components, and
+    turn each crossing whose under-strand they hold so that slot 0 stays
+    its inflow."""
     ends = d.arc_endpoints()
     heads = dict(d.heads)
     for a in arcs:
@@ -455,28 +469,56 @@ class Fingerprint:
         }
 
 
+def _mask_writhes(d: GraphDiagram, labels: Dict[int, int], flippable: List[int]) -> List[int]:
+    """Writhe of ``d`` with the components of each mask reversed, masks
+    0 .. 2^k - 1 over the k components in ``flippable`` (bit i for
+    ``flippable[i]``); ``labels`` maps arcs to components.  A crossing's
+    sign flips when exactly one of its two strands' components is
+    reversed, so no diagram is built."""
+    bit = {comp: 1 << k for k, comp in enumerate(flippable)}
+    # under bit ^ over bit -> summed sign of those crossings; a mask flips
+    # them when it holds exactly one of the two bits
+    signs: Dict[int, int] = {}
+    for i, c in enumerate(d.crossings):
+        pair = bit.get(labels[c[0]], 0) ^ bit.get(labels[c[1]], 0)
+        signs[pair] = signs.get(pair, 0) + d.crossing_sign(i)
+    return [
+        sum(-s if bin(mask & pair).count("1") == 1 else s for pair, s in signs.items())
+        for mask in range(1 << len(flippable))
+    ]
+
+
 def fingerprint(d: GraphDiagram) -> Fingerprint:
     """Fingerprint of the reduced diagram, reoriented to minimize the
     (Jones, Alexander) sort keys.  Global reversal fixes both polynomials,
     so one component stays pinned; the result does not depend on how an
-    unoriented link happened to be oriented on arrival.  Reversing a
-    component keeps every smoothing, so one bracket serves all
-    orientations; only the writhe changes."""
+    unoriented link happened to be oriented on arrival.
+
+    An orientation is a mask over the other components.  Reversing
+    components keeps every smoothing, so one bracket serves all masks and
+    only the writhe changes, which ``_mask_writhes`` reads off a table of
+    crossing signs without building a diagram.  Jones depends on the mask
+    through the writhe alone, and sort keys are injective, so the minimum
+    is the least Jones and, among the masks that reach it, the least
+    Alexander polynomial.  Only those masks are reoriented, each in one
+    pass over the reduced diagram, and none is when the diagram has no
+    crossings or is split, where Alexander does not depend on
+    orientation."""
     reduced = reduce_diagram(d)
     ncomp, labels = reduced.split_components()
     flippable = sorted(set(labels.values()))[1:]
     if len(flippable) > ORIENTATION_FLIP_CAP:
         raise CapExceeded(f"{len(flippable) + 1} components exceed the orientation cap")
     bracket = kauffman_bracket(reduced)
-    best = None
-    for mask in range(1 << len(flippable)):
-        cur = reduced
-        for bit, comp in enumerate(flippable):
-            if mask >> bit & 1:
-                cur = reverse_component(cur, comp)
-        j, a = _jones_from_bracket(bracket, cur.writhe()), alexander(cur)
-        key = (j.sort_key(), a.sort_key())
-        if best is None or key < best[0]:
-            best = (key, j, a)
-    _, j, a = best
-    return Fingerprint(ncomp, j, a)
+    writhes = _mask_writhes(reduced, labels, flippable)
+    jones_at = {w: _jones_from_bracket(bracket, w) for w in set(writhes)}
+    j = min(jones_at.values(), key=Laurent.sort_key)
+    if not reduced.crossings or _is_split(reduced):
+        return Fingerprint(ncomp, j, alexander(reduced))
+    arcs = [{a for a, k in labels.items() if k == comp} for comp in flippable]
+    candidates = []
+    for mask, w in enumerate(writhes):
+        if jones_at[w] == j:
+            flipped = set().union(*(arcs[k] for k in range(len(arcs)) if mask >> k & 1))
+            candidates.append(alexander(_reverse_arcs(reduced, flipped) if mask else reduced))
+    return Fingerprint(ncomp, j, min(candidates, key=Laurent.sort_key))

@@ -82,6 +82,18 @@ def test_mirror_is_involution_and_flips_writhe():
     assert m.mirror().canonical_key() == d.canonical_key()
 
 
+def test_arc_endpoints_table_is_built_once_per_diagram():
+    d = catalog.trefoil_right()
+    ends = d.arc_endpoints()
+    assert d.arc_endpoints() is ends
+    scanned = {}
+    for a, e in d.endpoints():
+        scanned.setdefault(a, []).append(e)
+    assert ends == scanned
+    # a new diagram gets its own table
+    assert d.mirror().arc_endpoints() is not ends
+
+
 def test_reverse_is_involution():
     d = catalog.figure_eight()
     r = d.reverse()

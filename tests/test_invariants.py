@@ -26,11 +26,16 @@ from graphhom.invariants import (
     reduce_diagram,
     reverse_component,
     smoothing_circles,
+    _is_split,
+    _mask_writhes,
+    _reverse_arcs,
     _switch_crossing,
     _wirtinger_arcs,
 )
+from graphhom.kauffman import family
 from graphhom.laurent import Laurent, T, Z, normalize_alexander
 from graphhom.moves import random_move_sequence
+from test_kauffman import g6_base_scrambled, g8
 from test_laurent import conway_to_alexander
 from test_linalg import KHOVANOV_Z_BRAIDS
 
@@ -204,8 +209,10 @@ def test_bracket_ignores_component_orientation(d):
 
 
 def reference_fingerprint(d):
-    """Fingerprint as first written: one Jones polynomial, hence one
-    bracket, per orientation."""
+    """Fingerprint by the per-mask loop: each orientation of the
+    unpinned components is built by reversing them one at a time and
+    gets its own Jones polynomial, hence its own bracket, and its own
+    Alexander polynomial."""
     reduced = reduce_diagram(d)
     ncomp, labels = reduced.split_components()
     flippable = sorted(set(labels.values()))[1:]
@@ -235,6 +242,88 @@ def test_fingerprint_matches_jones_per_orientation(d, reorients):
     # linking numbers 0, so reversing a component fixes their Jones.
     reduced = reduce_diagram(d)
     assert (jones(reverse_component(reduced, 1)) != jones(reduced)) == reorients
+    fp = fingerprint(d)
+    assert (fp.components, fp.jones, fp.alexander) == reference_fingerprint(d)
+
+
+T33 = catalog.braid_closure([1, 2] * 3, 3)
+T44 = catalog.braid_closure([1, 2, 3] * 4, 4)
+
+
+@pytest.mark.parametrize(
+    "d", [HOPF, BORROMEAN, T33, T44, HOPF_TREFOIL, catalog.unlink(3)],
+    ids=["hopf", "borromean", "T(3,3)", "T(4,4)", "hopf+trefoil", "3 loops"],
+)
+def test_mask_writhes_match_reversed_diagrams(d):
+    # Two unpinned components that cross each other: reversing both
+    # keeps the sign of every crossing between them.
+    _, labels = d.split_components()
+    flippable = sorted(set(labels.values()))[1:]
+    writhes = _mask_writhes(d, labels, flippable)
+    assert len(writhes) == 1 << len(flippable)
+    for mask, w in enumerate(writhes):
+        cur = d
+        for bit, comp in enumerate(flippable):
+            if mask >> bit & 1:
+                cur = reverse_component(cur, comp)
+        assert w == cur.writhe()
+        flipped = {comp for bit, comp in enumerate(flippable) if mask >> bit & 1}
+        arcs = {a for a, comp in labels.items() if comp in flipped}
+        assert _reverse_arcs(d, arcs).to_json() == cur.to_json()
+
+
+def family_member_links():
+    """The member diagrams of G6 and G8 at scramble seeds 1 to 5."""
+    out = []
+    for seed in range(1, 6):
+        for name, g in (("G6", g6_base_scrambled(seed)), ("G8", g8(seed))):
+            for k, m in enumerate(family(g).members):
+                out.append((f"{name} seed {seed} member {k}", m.diagram))
+    return out
+
+
+FINGERPRINT_POOL = (
+    [(name, census_link(name)) for name in CENSUS_LINKS]
+    + [
+        ("braid(" + ",".join(map(str, word)) + ")", catalog.braid_closure(word, strands))
+        for word, strands in (
+            ([1, -2] * 3, 3),
+            ([1, 2] * 3, 3),
+            ([1, 2, 3] * 4, 4),
+            ([1, -2, 3, -2] * 2, 4),
+            # two orientations reach the least Jones polynomial with
+            # different Alexander polynomials
+            ([2, 2, -1, 2, -1, -1, -1, -2, 1, -2, -1, -1], 3),
+        )
+    ]
+    + SPLIT_AND_LOOPED
+    + [(f"{k} loops", GraphDiagram([], [], k)) for k in (1, 2, 3)]
+    + [("hopf+2 loops", disjoint_union(HOPF, catalog.unlink(2)))]
+    + family_member_links()
+)
+
+
+def crosses_between_unpinned(d):
+    """Some crossing joins two different components, neither of them
+    the pinned one."""
+    reduced = reduce_diagram(d)
+    _, labels = reduced.split_components()
+    return any(
+        labels[c[0]] and labels[c[1]] and labels[c[0]] != labels[c[1]]
+        for c in reduced.crossings
+    )
+
+
+def test_fingerprint_pool_covers_the_orientation_cases():
+    links = [d for _, d in FINGERPRINT_POOL]
+    assert any(crosses_between_unpinned(d) for d in links)
+    assert any(not reduce_diagram(d).crossings and d.loops > 1 for d in links)
+    assert any(_is_split(reduce_diagram(d)) and reduce_diagram(d).crossings for d in links)
+    assert sum(name.startswith(("G6", "G8")) for name, _ in FINGERPRINT_POOL) >= 50
+
+
+@pytest.mark.parametrize("name,d", FINGERPRINT_POOL, ids=[n for n, _ in FINGERPRINT_POOL])
+def test_fingerprint_matches_per_mask_loop(name, d):
     fp = fingerprint(d)
     assert (fp.components, fp.jones, fp.alexander) == reference_fingerprint(d)
 

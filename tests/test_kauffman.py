@@ -12,9 +12,11 @@ from graphhom.catalog import (
     handcuff,
     hopf_handcuff,
     hopf_negative,
+    hopf_positive,
     theta,
     trefoil_right,
     unknot,
+    unknot_kink,
     unlink,
 )
 from graphhom.diagrams import GraphDiagram, connected_sum, disjoint_union, union_classes
@@ -61,14 +63,17 @@ def nonempty_links(g):
             yield link
 
 
-def slow_family_json(g):
-    """``family(g).to_json()`` the slow way: every assignment's link is
-    built, reduced and keyed, then grouped by canonical key and merged by
-    fingerprint, each member keeping its first link in product order."""
+def family_json_of(g, weighted_links):
+    """``family(g).to_json()`` from (link, assignment count) pairs in
+    product order: every nonempty link is reduced and keyed, then grouped
+    by canonical key and merged by fingerprint, each member keeping its
+    first link."""
     groups = {}
-    for link in nonempty_links(g):
+    for link, count in weighted_links:
+        if not (link.crossings or link.loops):
+            continue
         reduced = reduce_diagram(link)
-        groups.setdefault(reduced.canonical_key(), [link, reduced, 0])[2] += 1
+        groups.setdefault(reduced.canonical_key(), [link, reduced, 0])[2] += count
     merged = {}
     for link, reduced, count in groups.values():
         fp = fingerprint(reduced)
@@ -84,6 +89,24 @@ def slow_family_json(g):
             for _, parts in sorted(merged.items())
         ],
     }
+
+
+def slow_family_json(g):
+    """``family(g).to_json()`` the slow way: every assignment's link is
+    built."""
+    return family_json_of(g, ((link, 1) for link in nonempty_links(g)))
+
+
+def per_system_family_json(g):
+    """``family(g).to_json()`` with one link built per tuple of closed
+    pairs, crossing-free unlinks included."""
+    return family_json_of(
+        g,
+        (
+            (apply_replacement(g, dict(enumerate(first))), count)
+            for _, first, count in closed_pair_tuples(g)
+        ),
+    )
 
 
 def g8(seed):
@@ -112,6 +135,10 @@ CORNER_GRAPHS = {
     "crossed": connected_sum(CROSSED, connected_sum(theta(), hopf_handcuff())),
     "crossed+bouquet": connected_sum(CROSSED, BOUQUET),
     "lens": connected_sum(LENS, hopf_handcuff()),
+    # components that meet no vertex: a ring around a theta edge, and a
+    # kinked circle beside a theta
+    "hopf#theta": connected_sum(hopf_positive(), theta()),
+    "kink+theta": disjoint_union(unknot_kink(1), theta()),
 }
 
 
@@ -140,6 +167,13 @@ def test_oracle_pool_covers_the_memo_key_corners():
     assert {1, 2, 3, 4} <= valences
     assert any(len(set(v)) < len(v) for g in graphs for v in g.vertices)
     assert sum(name.startswith("census") for name, _ in ORACLE_POOL) == 3
+    assert any(vertex_free_edges(g) for g in graphs)
+
+
+def vertex_free_edges(g):
+    """Edges (arcs joined through crossings) that meet no vertex."""
+    edge = g.strand_classes()
+    return set(edge.values()) - {edge[a] for v in g.vertices for a in v}
 
 
 @pytest.mark.parametrize("name,g", ORACLE_POOL, ids=[n for n, _ in ORACLE_POOL])
@@ -260,10 +294,30 @@ def test_closed_pair_tuples_match_reference_on_ten_vertices():
     assert_closed_pair_tuples_match_reference(g)
 
 
+@pytest.mark.parametrize("name,g", ORACLE_POOL, ids=[n for n, _ in ORACLE_POOL])
+def test_unlink_circles_match_apply_replacement(name, g):
+    systems = closed_pair_tuples(g)
+    predicted = kauffman._unlink_circles(g, [key for key, _, _ in systems])
+    for (key, first, _), circles in zip(systems, predicted):
+        link = apply_replacement(g, dict(enumerate(first)))
+        assert circles == (None if link.crossings else link.loops), key
+
+
+@pytest.mark.parametrize("name,g", ORACLE_POOL, ids=[n for n, _ in ORACLE_POOL])
+def test_family_matches_one_build_per_system(name, g):
+    assert family(g).to_json() == per_system_family_json(g)
+
+
 @pytest.mark.parametrize(
-    "g,assignments,built", [(g6(), 729, 32), (g8(1), 6561, 64)], ids=["G6", "G8"]
+    "g,assignments,systems,built",
+    [(g6(), 729, 32, 17), (g8(1), 6561, 64, 40)],
+    ids=["G6", "G8"],
 )
-def test_family_builds_one_link_per_closed_pair_tuple(g, assignments, built, monkeypatch):
+def test_family_builds_crossing_free_unlinks_once(g, assignments, systems, built, monkeypatch):
+    links = [apply_replacement(g, dict(enumerate(first))) for _, first, _ in closed_pair_tuples(g)]
+    assert len(links) == systems
+    crossed = sum(1 for link in links if link.crossings)
+    circle_counts = {link.loops for link in links if not link.crossings}
     calls = []
 
     def counted(g, choice):
@@ -272,6 +326,7 @@ def test_family_builds_one_link_per_closed_pair_tuple(g, assignments, built, mon
 
     monkeypatch.setattr(kauffman, "apply_replacement", counted)
     assert family(g).assignments == assignments
+    assert len(calls) <= crossed + len(circle_counts) < systems
     assert len(calls) == built
 
 
