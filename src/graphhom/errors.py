@@ -41,11 +41,13 @@ class CapExceeded(GraphhomError):
 
 
 class RoutingFailure(GraphhomError):
-    """A diagram could not be swept into a grid.
+    """A link diagram could not be converted into a grid.
 
-    This happens for rotation systems that are not planar (the sweep
-    frontier stops being a noncrossing family) and indicates bad input
-    rather than a size problem.
+    Either braid extraction through the Seifert circles failed, or the
+    extracted braid closure has a different fingerprint from the piece
+    it came from.  Validation refuses non-planar input before this
+    point, so the error marks a fault in the conversion, not bad input
+    or a size problem.
     """
 
 

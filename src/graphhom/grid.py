@@ -105,11 +105,6 @@ def transpose(g: GridDiagram) -> GridDiagram:
     return GridDiagram(g.n, tuple(xs), tuple(os_))
 
 
-def reverse(g: GridDiagram) -> GridDiagram:
-    """Swap marker roles, reversing the orientation of every component."""
-    return GridDiagram(g.n, g.O, g.X)
-
-
 def grid_union(a: GridDiagram, b: GridDiagram) -> GridDiagram:
     """Block-diagonal sum presenting the split union of the two links."""
     shift = a.n
@@ -489,13 +484,14 @@ def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
     each connected piece and give each loop the 2 x 2 unknot grid.
 
     Piece words up to the Khovanov crossing cap are checked against the
-    input by fingerprint before use.  A fingerprint takes one bracket for
-    all orientations of the link, and the bracket's cost follows the
-    diagram's width, not its 2^c states; but it also takes one Alexander
-    polynomial per orientation, a determinant per evaluation point whose
-    size grows with the word, so checking longer words would add that
-    work twice (closure and piece) for each orientation.  Words past the
-    cap are used unchecked.
+    input by fingerprint before use; a mismatch raises RoutingFailure.
+    A fingerprint takes one bracket for all orientations of the link, and
+    the bracket's cost follows the diagram's width, not its 2^c states;
+    but it also takes one Alexander polynomial per orientation that
+    reaches the least Jones polynomial, a determinant per evaluation
+    point whose size grows with the word, so checking longer words would
+    add that work twice (closure and piece) for each such orientation.
+    Words past the cap are used unchecked.
     """
     if not d.is_link():
         raise InvalidDiagram(["grid conversion expects a link diagram"])

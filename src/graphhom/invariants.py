@@ -11,24 +11,25 @@ width of the diagram, the number of arc ends open between the placed
 crossings and the rest, rather than the 2^c states.  The tests keep
 the per-state sum as its oracle.
 
-The Alexander polynomial comes from the Fox derivatives of the
-Wirtinger presentation, the determinant from the Wirtinger coloring
-matrix, and the Conway polynomial by skein recursion.  The tests hold
-the first two against the third: the Alexander polynomial against the
-Conway polynomial under z = t^(1/2) - t^(-1/2), and |Delta(-1)| against
-the determinant.
+The Alexander polynomial of every orientation and the determinant
+come from one matrix, the Fox derivatives of the Wirtinger
+presentation: Delta(t) from its minor at t = 0 .. c - 1, and the
+determinant as |Delta(-1)|, the same minor at t = -1.  The Conway
+polynomial comes by skein recursion.  The tests hold the Alexander
+polynomial against the Conway polynomial under z = t^(1/2) - t^(-1/2),
+and the determinant against the Smith form of the Wirtinger coloring
+matrix and against the Conway polynomial at z^2 = -4.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .diagrams import GraphDiagram, _splice_pairs, splice_crossing, union_classes
 from .errors import CapExceeded, InvalidDiagram
 from .laurent import Laurent, T, Z, normalize_alexander
-from .linalg import smith_invariant_factors
 
 A = ("A",)
 
@@ -211,7 +212,6 @@ def _first_bad_crossing(d: GraphDiagram) -> Optional[int]:
     for a, comp in labels.items():
         comps.setdefault(comp, []).append(a)
     visited: Dict[int, int] = {}
-    ends = d.arc_endpoints()
     for comp in sorted(comps):
         base = min(comps[comp])
         a = base
@@ -339,109 +339,103 @@ def _interpolate(values: List[int]) -> List[int]:
     return poly
 
 
-def alexander(d: GraphDiagram) -> Laurent:
-    """Symmetric-normalized Alexander polynomial from the Wirtinger
-    presentation.
+def _fox_rows(
+    d: GraphDiagram, flipped: AbstractSet[int] = frozenset()
+) -> Optional[List[List[List[int]]]]:
+    """Fox-derivative rows of the Wirtinger presentation of ``d`` with
+    the arcs in ``flipped``, a union of closed components, reversed.
+    Row 0 and column 0 are struck, and each entry is [constant,
+    coefficient of t].  None when every minor vanishes: the link is
+    split.  A diagram with no crossings is the unknot, with no rows, or
+    an unlink.
 
-    Each crossing gives one Fox-derivative row over the over-arc classes,
-    with every generator sent to t.  Positive crossings take the relation
+    Each crossing gives one row over the over-arc classes, with every
+    generator sent to t.  Positive crossings take the relation
     x_out = x_over^-1 x_in x_over, whose row is over: t - 1, in: 1,
     out: -t, and negative ones x_out = x_over x_in x_over^-1, whose row is
     over: 1 - t, in: t, out: -1.  Exchanging the two relations at every
-    crossing only replaces t by 1/t, which the normalization absorbs; a
-    row that ignored the sign would not.  Striking one row and one column leaves a minor whose determinant is
-    Delta(t) up to a unit, of degree below the crossing count c.  It is
-    evaluated at t = 0 .. c - 1 by Bareiss elimination and interpolated
-    exactly, then centered and signed by ``normalize_alexander``.  A
+    crossing only replaces t by 1/t, which the Alexander normalization
+    absorbs; a row that ignored the sign would not.  Reversing components
+    leaves the over-arc classes alone: in and out trade places where the
+    under-strand is reversed, and the sign flips where exactly one of the
+    two strands is, so the rows are those of the reoriented diagram.  A
     component that never passes under adds an over-arc class with no
     row; it lies above the rest of the link, which is then split.
     """
-    if not d.is_link():
-        raise InvalidDiagram(["Alexander polynomial is defined for link diagrams"])
     if not d.crossings:
-        return Laurent.one(T) if d.loops == 1 else Laurent.zero(T)
+        return [] if d.loops == 1 else None
     if _is_split(d):
-        return Laurent.zero(T)
+        return None
     classes, arcs = _wirtinger_arcs(d)
     c = len(arcs)
     if classes != c:
-        return Laurent.zero(T)
-    # Each entry is (constant, coefficient of t); row 0 and column 0 are struck.
+        return None
     rows = []
     for i, (o, a, b) in enumerate(arcs[1:], start=1):
+        under, over = d.crossings[i][0] in flipped, d.crossings[i][1] in flipped
+        if under:
+            a, b = b, a
         row = [[0, 0] for _ in range(c)]
         for k, (c0, c1) in (
             ((o, (-1, 1)), (a, (1, 0)), (b, (0, -1)))
-            if d.crossing_sign(i) > 0
+            if (d.crossing_sign(i) > 0) == (under == over)
             else ((o, (1, -1)), (a, (0, 1)), (b, (-1, 0)))
         ):
             row[k][0] += c0
             row[k][1] += c1
         rows.append(row[1:])
+    return rows
+
+
+def _alexander_from_rows(rows: Optional[List[List[List[int]]]]) -> Laurent:
+    """Normalized Delta(t) of ``_fox_rows`` output.  The minor's
+    determinant has degree below the crossing count c, one more than
+    the row count, so it is evaluated at t = 0 .. c - 1 by Bareiss
+    elimination and interpolated exactly, then centered and signed by
+    ``normalize_alexander``."""
+    if rows is None:
+        return Laurent.zero(T)
     values = [
-        _bareiss_det([[c0 + c1 * t for c0, c1 in row] for row in rows]) for t in range(c)
+        _bareiss_det([[c0 + c1 * t for c0, c1 in row] for row in rows])
+        for t in range(len(rows) + 1)
     ]
     poly = _interpolate(values)
     return normalize_alexander(Laurent(T, {(2 * e,): v for e, v in enumerate(poly)}))
 
 
-def determinant(d: GraphDiagram) -> int:
-    """|H1| of the double branched cover by Wirtinger coloring rows.
+def alexander(d: GraphDiagram) -> Laurent:
+    """Symmetric-normalized Alexander polynomial from the determinant of
+    the Fox minor of ``_fox_rows``, a unit multiple of Delta(t).
 
-    Independent of the skein route: over-arcs are fused across
-    over-passages, each crossing contributes 2*over - in - out, and one
-    row and column are struck before taking the determinant size.
+    The tests hold it against ``skein_alexander``, the Conway polynomial
+    under z = t^(1/2) - t^(-1/2), and each flipped orientation that
+    ``fingerprint`` takes against ``alexander`` of the diagram rebuilt
+    with those components reversed.
+    """
+    if not d.is_link():
+        raise InvalidDiagram(["Alexander polynomial is defined for link diagrams"])
+    return _alexander_from_rows(_fox_rows(d))
+
+
+def determinant(d: GraphDiagram) -> int:
+    """|H1| of the double branched cover: |Delta(-1)|, the absolute
+    determinant of the Fox minor of ``_fox_rows`` at t = -1, by one
+    Bareiss elimination.
+
+    At t = -1 each Fox row is, up to sign, the Wirtinger coloring row
+    2*over - in - out.  The tests hold the result against
+    ``reference_determinant``, the Smith form of the coloring minor, and
+    against the Conway polynomial at z^2 = -4.
     """
     if not d.is_link():
         raise InvalidDiagram(["determinant is defined for link diagrams"])
-    if not d.crossings:
-        return 1 if d.loops == 1 else 0
-    if _is_split(d):
+    rows = _fox_rows(d)
+    if rows is None:
         return 0
-    classes, arcs = _wirtinger_arcs(d)
-    if classes != len(arcs):  # a component lies over the rest: split
-        return 0
-    rows = []
-    for o, a, b in arcs:
-        row = [0] * classes
-        row[o] += 2
-        row[a] -= 1
-        row[b] -= 1
-        rows.append(row)
-    minor = [row[1:] for row in rows[1:]]
-    if not minor or not minor[0]:
-        return 1
-    factors = smith_invariant_factors(minor)
-    if len(factors) < len(minor):
-        return 0
-    det = 1
-    for f in factors:
-        det *= f
-    return det
+    return abs(_bareiss_det([[c0 - c1 for c0, c1 in row] for row in rows]))
 
 
 # -- fingerprints -------------------------------------------------------------
-
-def reverse_component(d: GraphDiagram, comp: int) -> GraphDiagram:
-    """Reverse the orientation of one closed component of a link."""
-    _, labels = d.split_components()
-    return _reverse_arcs(d, {a for a, k in labels.items() if k == comp})
-
-
-def _reverse_arcs(d: GraphDiagram, arcs: set) -> GraphDiagram:
-    """Reverse every arc in ``arcs``, a union of closed components, and
-    turn each crossing whose under-strand they hold so that slot 0 stays
-    its inflow."""
-    ends = d.arc_endpoints()
-    heads = dict(d.heads)
-    for a in arcs:
-        e1, e2 = ends[a]
-        heads[a] = e1 if heads[a] == e2 else e2
-    rot = {
-        i: 2 for i, c in enumerate(d.crossings) if c[0] in arcs
-    }
-    return GraphDiagram(d.crossings, d.vertices, d.loops, heads)._rotate_crossings(rot)
-
 
 @dataclass(frozen=True)
 class Fingerprint:
@@ -500,10 +494,10 @@ def fingerprint(d: GraphDiagram) -> Fingerprint:
     crossing signs without building a diagram.  Jones depends on the mask
     through the writhe alone, and sort keys are injective, so the minimum
     is the least Jones and, among the masks that reach it, the least
-    Alexander polynomial.  Only those masks are reoriented, each in one
-    pass over the reduced diagram, and none is when the diagram has no
-    crossings or is split, where Alexander does not depend on
-    orientation."""
+    Alexander polynomial.  Only those masks get one, from the Fox rows
+    with that mask's arcs flipped, so no reoriented diagram is built;
+    and one serves all masks when the diagram has no crossings or is
+    split, where Alexander does not depend on orientation."""
     reduced = reduce_diagram(d)
     ncomp, labels = reduced.split_components()
     flippable = sorted(set(labels.values()))[1:]
@@ -520,5 +514,5 @@ def fingerprint(d: GraphDiagram) -> Fingerprint:
     for mask, w in enumerate(writhes):
         if jones_at[w] == j:
             flipped = set().union(*(arcs[k] for k in range(len(arcs)) if mask >> k & 1))
-            candidates.append(alexander(_reverse_arcs(reduced, flipped) if mask else reduced))
+            candidates.append(_alexander_from_rows(_fox_rows(reduced, flipped)))
     return Fingerprint(ncomp, j, min(candidates, key=Laurent.sort_key))

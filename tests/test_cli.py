@@ -272,6 +272,17 @@ def test_floer_accepts_link_and_grid(tref_path, tmp_path, capsys):
     assert grid_doc["hat"] == link_doc["hat"]
 
 
+def test_floer_routing_failure_exits_one_without_traceback(tref_path, monkeypatch, capsys):
+    from test_grid import mirror_braid_words
+
+    mirror_braid_words(monkeypatch)
+    code = main(["floer", tref_path])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: extracted braid closure presents a different link\n"
+
+
 def test_floer_cap_skip_exits_one(tref_path, capsys):
     code, out = run_cli(["floer", tref_path, "--max-grid", "2"], capsys=capsys)
     assert code == 1

@@ -109,7 +109,7 @@ def test_canonical_key_relabel_invariant():
 
 def test_canonical_key_separates_orientations():
     hopf = catalog.hopf_positive()
-    from graphhom.invariants import reverse_component
+    from test_invariants import reverse_component
 
     flipped = reverse_component(hopf, 1)
     assert flipped.validate() == []

@@ -38,11 +38,10 @@ from graphhom.grid import (
     commute_rows,
     grid_union,
     pd_to_grid,
-    reverse,
     simplify_grid,
 )
 from graphhom.laurent import Laurent, T, U
-from test_grid import mirror_grid, stabilize
+from test_grid import mirror_grid, reverse_grid, stabilize
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
 
@@ -310,7 +309,7 @@ def test_mirror_duality_on_grids(diagram):
 @pytest.mark.parametrize("diagram", [trefoil_left(), hopf_positive()])
 def test_orientation_reversal_invariance(diagram):
     g = simplify_grid(pd_to_grid(diagram))
-    assert hat_from_grid(reverse(g)) == hat_from_grid(g)
+    assert hat_from_grid(reverse_grid(g)) == hat_from_grid(g)
 
 
 def test_disjoint_union_tensors_with_x():

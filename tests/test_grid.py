@@ -7,6 +7,7 @@ from importlib import resources
 
 import pytest
 
+from graphhom import grid as grid_mod
 from graphhom.catalog import (
     braid_closure,
     figure_eight,
@@ -19,7 +20,7 @@ from graphhom.catalog import (
     unlink,
 )
 from graphhom.diagrams import GraphDiagram, connected_sum, disjoint_union
-from graphhom.errors import InvalidDiagram
+from graphhom.errors import InvalidDiagram, RoutingFailure
 from graphhom.grid import (
     GridDiagram,
     braid_to_grid,
@@ -32,12 +33,11 @@ from graphhom.grid import (
     grid_union,
     pd_to_grid,
     piece_grids,
-    reverse,
     simplify_grid,
     translate,
     transpose,
 )
-from graphhom.invariants import fingerprint, reverse_component
+from graphhom.invariants import fingerprint
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
 
@@ -73,6 +73,11 @@ def mirror_grid(g):
         tuple(m - c for c in g.X),
         tuple(m - c for c in g.O),
     )
+
+
+def reverse_grid(g):
+    """Swap marker roles, reversing the orientation of every component."""
+    return GridDiagram(g.n, g.O, g.X)
 
 
 def test_validation_rejects_small_and_malformed():
@@ -136,6 +141,8 @@ def test_chirality_survives_conversion():
 
 
 def test_antiparallel_clasp_needs_pokes_and_round_trips():
+    from test_invariants import reverse_component
+
     d = reverse_component(hopf_positive(), 1)
     g = pd_to_grid(d)
     assert fingerprint(grid_to_diagram(g)) == fingerprint(d)
@@ -177,6 +184,23 @@ def test_pd_to_grid_stacks_the_piece_grids(d, pieces):
     assert len(grids) == pieces
     assert pd_to_grid(d) == reduce(grid_union, grids)
     assert sum(g.component_count() for g in grids) == d.split_components()[0]
+
+
+def mirror_braid_words(monkeypatch):
+    """Make grid conversion extract the mirror of every piece's braid."""
+
+    def mirrored(d):
+        word, strands = braid_word(d)
+        return [-g for g in word], strands
+
+    monkeypatch.setattr(grid_mod, "braid_word", mirrored)
+
+
+def test_wrong_braid_closure_raises_routing_failure(monkeypatch):
+    # The trefoil is chiral, so its mirrored word closes to another link.
+    mirror_braid_words(monkeypatch)
+    with pytest.raises(RoutingFailure, match="extracted braid closure presents a different link"):
+        piece_grids(trefoil_right())
 
 
 def test_braid_word_recovers_torus_words():
@@ -225,7 +249,7 @@ def test_mirror_grid_presents_mirror():
 def test_reverse_presents_reversed_orientation():
     d = hopf_positive()
     g = pd_to_grid(d)
-    assert fingerprint(grid_to_diagram(reverse(g))) == fingerprint(d.reverse())
+    assert fingerprint(grid_to_diagram(reverse_grid(g))) == fingerprint(d.reverse())
 
 
 @pytest.mark.parametrize("down", [True, False])

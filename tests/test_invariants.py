@@ -24,16 +24,17 @@ from graphhom.invariants import (
     jones,
     kauffman_bracket,
     reduce_diagram,
-    reverse_component,
     smoothing_circles,
+    _alexander_from_rows,
+    _fox_rows,
     _is_split,
     _mask_writhes,
-    _reverse_arcs,
     _switch_crossing,
     _wirtinger_arcs,
 )
 from graphhom.kauffman import family
 from graphhom.laurent import Laurent, T, Z, normalize_alexander
+from graphhom.linalg import smith_invariant_factors
 from graphhom.moves import random_move_sequence
 from test_kauffman import g6_base_scrambled, g8
 from test_laurent import conway_to_alexander
@@ -186,6 +187,28 @@ def test_bracket_matches_per_state_sum_at_twelve_crossings():
     assert kauffman_bracket(d) == reference_bracket(d)
 
 
+# -- reorientation by rebuilt diagrams: the reference for flipped Fox rows -----
+
+
+def reverse_component(d, comp):
+    """Reverse the orientation of one closed component of a link."""
+    _, labels = d.split_components()
+    return _reverse_arcs(d, {a for a, k in labels.items() if k == comp})
+
+
+def _reverse_arcs(d, arcs):
+    """Reverse every arc in ``arcs``, a union of closed components, and
+    turn each crossing whose under-strand they hold so that slot 0 stays
+    its inflow."""
+    ends = d.arc_endpoints()
+    heads = dict(d.heads)
+    for a in arcs:
+        e1, e2 = ends[a]
+        heads[a] = e1 if heads[a] == e2 else e2
+    rot = {i: 2 for i, c in enumerate(d.crossings) if c[0] in arcs}
+    return GraphDiagram(d.crossings, d.vertices, d.loops, heads)._rotate_crossings(rot)
+
+
 # Links of 2 or 3 components; the closure of (s1 s2^-1)^3 is the
 # Borromean rings.
 HOPF = catalog.hopf_positive()
@@ -282,6 +305,8 @@ def family_member_links():
     return out
 
 
+FAMILY_MEMBERS = family_member_links()
+
 FINGERPRINT_POOL = (
     [(name, census_link(name)) for name in CENSUS_LINKS]
     + [
@@ -299,7 +324,7 @@ FINGERPRINT_POOL = (
     + SPLIT_AND_LOOPED
     + [(f"{k} loops", GraphDiagram([], [], k)) for k in (1, 2, 3)]
     + [("hopf+2 loops", disjoint_union(HOPF, catalog.unlink(2)))]
-    + family_member_links()
+    + FAMILY_MEMBERS
 )
 
 
@@ -431,6 +456,139 @@ def test_determinant_agrees_with_skein_route():
         assert determinant(d) == abs(even) + 2 * abs(odd)
 
 
+# -- determinant at t = -1 against the coloring matrix's Smith form -----------
+
+
+def reference_determinant(d):
+    """|H1| of the double branched cover by Wirtinger coloring rows, as
+    first written: each crossing contributes 2*over - in - out, and the
+    product of the Smith invariant factors of the minor with one row and
+    column struck, 0 when it has lower rank."""
+    if not d.crossings:
+        return 1 if d.loops == 1 else 0
+    if _is_split(d):
+        return 0
+    classes, arcs = _wirtinger_arcs(d)
+    if classes != len(arcs):  # a component lies over the rest: split
+        return 0
+    rows = []
+    for o, a, b in arcs:
+        row = [0] * classes
+        row[o] += 2
+        row[a] -= 1
+        row[b] -= 1
+        rows.append(row)
+    minor = [row[1:] for row in rows[1:]]
+    if not minor or not minor[0]:
+        return 1
+    factors = smith_invariant_factors(minor)
+    if len(factors) < len(minor):
+        return 0
+    det = 1
+    for f in factors:
+        det *= f
+    return det
+
+
+DETERMINANT_BASES = (
+    [(name, census_link(name)) for name in CENSUS_LINKS]
+    + [
+        ("braid(" + ",".join(map(str, word)) + ")", catalog.braid_closure(word, strands))
+        for word, strands in (
+            ([1] * 5, 2),
+            ([1] * 7, 2),
+            ([1, 2] * 4, 3),
+            ([1, -2] * 3, 3),
+            ([1, -2] * 6, 3),
+            ([1, 2, 3] * 4, 4),
+        )
+    ]
+    + SPLIT_AND_LOOPED
+    + [
+        ("3_1#4_1", connected_sum(catalog.trefoil_right(), catalog.figure_eight())),
+        ("hopf#3_1", connected_sum(catalog.hopf_positive(), catalog.trefoil_right())),
+        ("3_1#3_1", connected_sum(catalog.trefoil_left(), catalog.trefoil_left())),
+    ]
+)
+
+
+def scrambled(d, seed):
+    """d after R1-R3 moves, which leave kinks, bigons and fused over-arcs."""
+    return random_move_sequence(
+        d, count=6, seed=seed, budget=len(d.crossings) + 4, kinds={"R1", "R2", "R3"}
+    )[0]
+
+
+DETERMINANT_POOL = DETERMINANT_BASES + [
+    (f"{name} scrambled {seed}", scrambled(d, seed))
+    for name, d in DETERMINANT_BASES
+    if d.crossings
+    for seed in (1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("name,d", DETERMINANT_POOL, ids=[n for n, _ in DETERMINANT_POOL])
+def test_determinant_matches_coloring_smith_form(name, d):
+    assert determinant(d) == reference_determinant(d)
+
+
+def test_determinant_pool_covers_zero_and_scrambles():
+    # T(4,4) is not split, but its coloring minor has lower rank.
+    values = [reference_determinant(d) for _, d in DETERMINANT_POOL]
+    assert max(values) > 100
+    assert any(v == 0 and not _is_split(d) for v, (_, d) in zip(values, DETERMINANT_POOL))
+    moved = [d for name, d in DETERMINANT_POOL if "scrambled" in name]
+    assert sum(has_kink(d) for d in moved) >= 3
+
+
+# -- Alexander of each orientation from flipped Fox rows -----------------------
+
+
+REORIENTATION_POOL = (
+    [
+        ("hopf+", catalog.hopf_positive()),
+        ("hopf-", catalog.hopf_negative()),
+        ("T(2,4)", T24),
+        ("T(2,6)", catalog.braid_closure([1] * 6, 2)),
+        ("hopf#3_1", connected_sum(catalog.hopf_positive(), catalog.trefoil_right())),
+    ]
+    + [
+        ("braid(" + ",".join(map(str, word)) + ")", catalog.braid_closure(word, strands))
+        for word, strands in (([1, -2] * 3, 3), ([1, 2] * 3, 3), ([1, -2, 3, -2] * 2, 4))
+    ]
+    + FAMILY_MEMBERS
+)
+
+
+def flip_sets(d):
+    """The reversed arcs of each orientation mask of d's components;
+    bit k of the mask reverses component k."""
+    _, labels = d.split_components()
+    masks = 1 << len(set(labels.values()))
+    return [{a for a, k in labels.items() if mask >> k & 1} for mask in range(masks)]
+
+
+@pytest.mark.parametrize("name,d", REORIENTATION_POOL, ids=[n for n, _ in REORIENTATION_POOL])
+def test_flipped_fox_rows_match_reversed_diagrams(name, d):
+    for arcs in flip_sets(d):
+        assert _alexander_from_rows(_fox_rows(d, arcs)) == alexander(_reverse_arcs(d, arcs))
+
+
+def test_reorientation_pool_covers_both_flip_cases():
+    # Some mask reverses both strands of a crossing between two
+    # components, keeping its sign, and some exactly one, flipping it.
+    both = one = False
+    for _, d in REORIENTATION_POOL:
+        _, labels = d.split_components()
+        for arcs in flip_sets(d):
+            for c in d.crossings:
+                flips = (c[0] in arcs) + (c[1] in arcs)
+                both |= flips == 2 and labels[c[0]] != labels[c[1]]
+                one |= flips == 1
+    assert both and one
+    assert sum(name.startswith(("G6", "G8")) for name, _ in REORIENTATION_POOL) >= 50
+
+
 def test_fingerprint_distinguishes_catalog():
     prints = {
         name: fingerprint(make())
@@ -456,8 +614,6 @@ def test_fingerprint_identifies_unoriented_hopf_mirrors():
 def test_fingerprint_ignores_kinks_and_orientation():
     assert fingerprint(catalog.unknot_kink(1)) == fingerprint(catalog.unknot())
     hopf = catalog.hopf_positive()
-    from graphhom.invariants import reverse_component
-
     assert fingerprint(reverse_component(hopf, 1)) == fingerprint(hopf)
     assert fingerprint(hopf.reverse()) == fingerprint(hopf)
 
