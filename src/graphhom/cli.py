@@ -24,8 +24,8 @@ from .diagrams import GraphDiagram
 from .errors import CapExceeded, GraphhomError, InvalidDiagram
 from .floer import FLOER_GRID_CAP
 from .graph_homology import MemberReport, _member_fields, floer_fields, graph_homology, khovanov_fields
-from .grid import GridDiagram, grid_to_diagram, grid_union, piece_grids, simplify_grid
-from .invariants import conway, determinant, fingerprint, reduce_diagram
+from .grid import GridDiagram, conway, grid_to_diagram, grid_union, piece_grids, simplify_grid
+from .invariants import determinant, fingerprint, reduce_diagram
 from .kauffman import FAMILY_ASSIGNMENT_CAP, family
 from .khovanov import KHOVANOV_CROSSING_CAP
 from .moves import random_move_sequence

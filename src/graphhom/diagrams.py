@@ -31,6 +31,14 @@ Dart = Endpoint
 NOT_PLANAR = "not planar: the face count breaks Euler's formula"
 
 
+def _json_int(value: object, field: str) -> int:
+    """``value`` if it is a JSON integer; ``int`` would take a float, a
+    bool or a numeric string too."""
+    if type(value) is not int:
+        raise InvalidDiagram([f"{field} must be an integer, not {value!r}"])
+    return value
+
+
 def union_classes(elements: Iterable[int], pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Join the two elements of every pair; map each element to the
     smallest element of its class, whatever order the pairs come in."""
@@ -332,14 +340,18 @@ class GraphDiagram:
         if not isinstance(data, dict):
             raise InvalidDiagram([f"diagram JSON must be an object, not {type(data).__name__}"])
         try:
-            crossings = [tuple(int(a) for a in c) for c in data.get("crossings", [])]
-            vertices = [tuple(int(a) for a in v) for v in data.get("vertices", [])]
-            loops = int(data.get("loops", 0))
+            crossings = [tuple(_json_int(a, "crossing arc id") for a in c) for c in data.get("crossings", [])]
+            vertices = [tuple(_json_int(a, "vertex arc id") for a in v) for v in data.get("vertices", [])]
+            loops = _json_int(data.get("loops", 0), "loops")
             orientations = {
-                int(a): int(s) for a, s in (data.get("orientations") or {}).items()
+                int(a): _json_int(s, f"orientation of arc {a}")
+                for a, s in (data.get("orientations") or {}).items()
             }
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:
             raise InvalidDiagram([f"malformed diagram JSON: {exc}"])
+        bad = [f"orientation of arc {a} must be 1 or -1" for a, s in orientations.items() if s not in (1, -1)]
+        if bad:
+            raise InvalidDiagram(bad)
         return cls.from_pd(crossings, vertices, loops, orientations)
 
     @classmethod

@@ -41,7 +41,7 @@ class CapExceeded(GraphhomError):
 
 
 class RoutingFailure(GraphhomError):
-    """A link diagram could not be converted into a grid.
+    """A link diagram gave no braid, hence no grid or Conway polynomial.
 
     Either braid extraction through the Seifert circles failed, or the
     extracted braid closure has a different fingerprint from the piece

@@ -254,12 +254,11 @@ def hat_euler(dims: BigradedDims) -> Laurent:
     return euler_substitute(poly, half_shift=half)
 
 
-def skein_euler_target(d: GraphDiagram) -> Laurent:
-    """(t^(1/2) - t^(-1/2))^(l-1) * Delta(t), the hat Euler characteristic
-    that the Alexander polynomial predicts."""
-    ell = d.split_components()[0]
+def skein_euler_target(delta: Laurent, components: int) -> Laurent:
+    """(t^(1/2) - t^(-1/2))^(l-1) * delta, the hat Euler characteristic
+    that an l-component link's Alexander polynomial delta predicts."""
     half_diff = Laurent(T, {(1,): 1, (-1,): -1})
-    return alexander(d) * half_diff ** (ell - 1)
+    return delta * half_diff ** (components - 1)
 
 
 def euler_matches_skein(dims: BigradedDims, d: GraphDiagram) -> dict:
@@ -269,7 +268,7 @@ def euler_matches_skein(dims: BigradedDims, d: GraphDiagram) -> dict:
     both are reported.  Exact agreement means offset 0.
     """
     got = hat_euler(dims)
-    want = skein_euler_target(d)
+    want = skein_euler_target(alexander(d), d.split_components()[0])
     if want.is_zero() or got.is_zero():
         ok = got.is_zero() and want.is_zero()
         return {"verdict": "pass" if ok else "fail", "offset2": 0, "sign": 1}

@@ -229,8 +229,9 @@ def graph_homology(
             if "floer" in fields:
                 agg_f = agg_f.add(_weighted(fields["floer"], weight))
                 agg_f_euler = agg_f_euler + fields["floer_euler"].scale(weight)
-                agg_target = agg_target + skein_euler_target(fm.diagram).scale(weight)
-                agg_alex = agg_alex + alexander(fm.diagram).scale(weight)
+                delta = alexander(fm.diagram)
+                agg_target += skein_euler_target(delta, fm.fingerprint.components).scale(weight)
+                agg_alex = agg_alex + delta.scale(weight)
                 floer_states.append(fields["floer_check"]["verdict"])
                 if fields["total_check"] == "fail":
                     floer_states.append("fail")

@@ -11,6 +11,9 @@ circles are made coherently nested by poking strands across defect
 faces (a type II move through any face bordered by two same-sense arcs
 of distinct circles), the braid word is read off the nested annuli, and
 the closed braid is laid out on a grid column by column.
+
+The braid word also gives ``conway`` the Conway polynomial through a
+Seifert matrix; the tests hold it against a skein recursion.
 """
 
 from dataclasses import dataclass
@@ -20,12 +23,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .catalog import braid_closure
 from .diagrams import Dart, GraphDiagram, union_classes
 from .errors import InvalidDiagram, RoutingFailure
-from .invariants import fingerprint, reduce_diagram
-from .khovanov import KHOVANOV_CROSSING_CAP
+from .invariants import _det_poly, _is_split, fingerprint, reduce_diagram
+from .laurent import Laurent, T, Z, alexander_to_conway
 from .moves import _r2_insert, crossing_from_compass
 
 # Most grids one commutation search of simplify_grid visits.
 SIMPLIFY_SEARCH_CAP = 4000
+
+# Longest extracted braid word whose closure is checked by fingerprint
+# against the piece it came from; Khovanov homology has the same bound.
+BRAID_CHECK_CAP = 14
 
 
 @dataclass(frozen=True)
@@ -74,10 +81,10 @@ class GridDiagram:
         if missing:
             raise InvalidDiagram([f"grid payload lacks key {k!r}" for k in missing])
         n, xs, os_ = payload["n"], payload["X"], payload["O"]
-        if not isinstance(n, int) or not all(
-            isinstance(v, list) and all(isinstance(u, int) for u in v) for v in (xs, os_)
+        if type(n) is not int or not all(
+            isinstance(v, list) and all(type(u) is int for u in v) for v in (xs, os_)
         ):
-            raise InvalidDiagram(["grid payload fields must be an int and two int lists"])
+            raise InvalidDiagram(["grid payload fields n, X and O must be an integer and two integer lists"])
         return GridDiagram(n, tuple(xs), tuple(os_))
 
 
@@ -479,30 +486,26 @@ def _connected_pieces(d: GraphDiagram) -> List[GraphDiagram]:
     return pieces
 
 
+def _checked_braid(piece: GraphDiagram) -> Tuple[List[int], int]:
+    """``braid_word`` of a connected piece, checked by fingerprint up to
+    ``BRAID_CHECK_CAP`` letters (RoutingFailure on a mismatch).  Longer
+    words go unchecked: a fingerprint's Alexander determinants grow with
+    the word, and the check takes them for closure and piece alike."""
+    word, strands = braid_word(piece)
+    if len(word) <= BRAID_CHECK_CAP:
+        if fingerprint(braid_closure(word, strands)) != fingerprint(piece):
+            raise RoutingFailure("extracted braid closure presents a different link")
+    return word, strands
+
+
 def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
     """One grid per split piece of the oriented link: reduce, then braid
-    each connected piece and give each loop the 2 x 2 unknot grid.
-
-    Piece words up to the Khovanov crossing cap are checked against the
-    input by fingerprint before use; a mismatch raises RoutingFailure.
-    A fingerprint takes one bracket for all orientations of the link, and
-    the bracket's cost follows the diagram's width, not its 2^c states;
-    but it also takes one Alexander polynomial per orientation that
-    reaches the least Jones polynomial, a determinant per evaluation
-    point whose size grows with the word, so checking longer words would
-    add that work twice (closure and piece) for each such orientation.
-    Words past the cap are used unchecked.
-    """
+    each connected piece by ``_checked_braid`` and give each loop the
+    2 x 2 unknot grid."""
     if not d.is_link():
         raise InvalidDiagram(["grid conversion expects a link diagram"])
     d = reduce_diagram(d)
-    grids = []
-    for piece in _connected_pieces(d):
-        word, strands = braid_word(piece)
-        if len(word) <= KHOVANOV_CROSSING_CAP:
-            if fingerprint(braid_closure(word, strands)) != fingerprint(piece):
-                raise RoutingFailure("extracted braid closure presents a different link")
-        grids.append(braid_to_grid(word, strands))
+    grids = [braid_to_grid(*_checked_braid(piece)) for piece in _connected_pieces(d)]
     grids.extend(GridDiagram(2, (1, 0), (0, 1)) for _ in range(d.loops))
     if not grids:
         raise InvalidDiagram(["empty diagram has no grid presentation"])
@@ -513,3 +516,44 @@ def pd_to_grid(d: GraphDiagram) -> GridDiagram:
     """Grid presentation of the oriented link: the piece grids stacked
     block-diagonally."""
     return reduce(grid_union, piece_grids(d))
+
+
+# -- Conway polynomial from the braid's Seifert matrix ----------------------------
+
+
+def conway(d: GraphDiagram) -> Laurent:
+    """Conway polynomial, nabla(t^(1/2) - t^(-1/2)) = det(V - t V^T)
+    t^(-m/2) for the m x m Seifert matrix V of the reduced diagram's
+    ``_checked_braid``; det(t V - V^T) would negate every link with an
+    even number of components.  The surface is a disk per strand and a
+    half-twisted band per letter (J. Collins, An algorithm for computing
+    the Seifert matrix of a link from a braid representation).  A loop
+    (p, q) runs up the band of letter p and down that of q, the next
+    letter on its generator; with letter signs e, V[(p, q)][(p, q)] =
+    -(e_p + e_q)/2, V[(p, q)][(q, s)] = 1 if e_q > 0 and V[(q, s)][(p, q)]
+    = -1 if not, and for a loop (r, s) of the next generator
+    V[(r, s)][(p, q)] = 1 if p < r < q < s, -1 if r < p < s < q; 0 elsewhere.
+    """
+    if not d.is_link():
+        raise InvalidDiagram(["Conway polynomial is defined for link diagrams"])
+    d = reduce_diagram(d)
+    if not d.crossings or _is_split(d):
+        return Laurent.one(Z) if not d.crossings and d.loops == 1 else Laurent.zero(Z)
+    (piece,) = _connected_pieces(d)
+    word, strands = _checked_braid(piece)
+    loops = []
+    for i in range(1, strands):
+        at = [k for k, letter in enumerate(word) if abs(letter) == i]
+        loops.extend((i, p, q) for p, q in zip(at, at[1:]))
+    e = [1 if letter > 0 else -1 for letter in word]
+    v = [[0] * len(loops) for _ in loops]
+    for x, (i, p, q) in enumerate(loops):
+        v[x][x] = -(e[p] + e[q]) // 2
+        for y, (j, r, s) in enumerate(loops):
+            if j == i and r == q:
+                v[x][y], v[y][x] = (e[q] + 1) // 2, (e[q] - 1) // 2
+            elif j == i + 1:
+                v[y][x] = 1 if p < r < q < s else -1 if r < p < s < q else 0
+    m = len(v)
+    poly = _det_poly([[[v[x][y], -v[y][x]] for y in range(m)] for x in range(m)])
+    return alexander_to_conway(Laurent(T, {(2 * k - m,): c for k, c in enumerate(poly)}))

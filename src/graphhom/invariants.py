@@ -1,6 +1,6 @@
-"""Classical link invariants: the Kauffman bracket, skein recursion, the
-Wirtinger Alexander polynomial, and the fingerprints used to compare
-links up to the tool's resolving power.
+"""Classical link invariants: the Kauffman bracket, the Wirtinger
+Alexander polynomial and determinant, and the fingerprints used to
+compare links up to the tool's resolving power.
 
 The bracket counts smoothing states by B-smoothings and circles without
 visiting them one by one: crossings are added one at a time, and
@@ -14,11 +14,14 @@ the per-state sum as its oracle.
 The Alexander polynomial of every orientation and the determinant
 come from one matrix, the Fox derivatives of the Wirtinger
 presentation: Delta(t) from its minor at t = 0 .. c - 1, and the
-determinant as |Delta(-1)|, the same minor at t = -1.  The Conway
-polynomial comes by skein recursion.  The tests hold the Alexander
-polynomial against the Conway polynomial under z = t^(1/2) - t^(-1/2),
-and the determinant against the Smith form of the Wirtinger coloring
-matrix and against the Conway polynomial at z^2 = -4.
+determinant as |Delta(-1)|, the same minor at t = -1.  The over-arc
+classes behind the rows are found once per diagram and serve every
+orientation.  ``_det_poly``, the minor's determinant as a polynomial,
+also takes the Seifert-matrix determinant behind ``grid.conway``.  The
+tests hold the Alexander polynomial against their skein recursion's
+Conway polynomial under z = t^(1/2) - t^(-1/2), and the determinant
+against the Smith form of the Wirtinger coloring matrix and against
+that Conway polynomial at z^2 = -4.
 """
 
 from __future__ import annotations
@@ -27,9 +30,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .diagrams import GraphDiagram, _splice_pairs, splice_crossing, union_classes
+from .diagrams import GraphDiagram, splice_crossing, union_classes
 from .errors import CapExceeded, InvalidDiagram
-from .laurent import Laurent, T, Z, normalize_alexander
+from .laurent import Laurent, T, normalize_alexander
 
 A = ("A",)
 
@@ -37,9 +40,6 @@ DELTA = Laurent(A, {(4,): -1, (-4,): -1})  # circle value -A^2 - A^-2
 
 # Most crossings the bracket is computed for.
 BRACKET_CROSSING_CAP = 24
-
-# Most nodes the skein recursion of one Conway polynomial visits.
-SKEIN_NODE_CAP = 100000
 
 # Most components a fingerprint reorients; one more stays pinned, so a
 # fingerprint computes at most 2^6 Jones and Alexander pairs.
@@ -197,98 +197,24 @@ def reduce_diagram(d: GraphDiagram) -> GraphDiagram:
     return d
 
 
-# -- skein recursion ----------------------------------------------------------
-
 def _is_split(d: GraphDiagram) -> bool:
     return len(d.site_components()) + d.loops > 1
 
 
-def _first_bad_crossing(d: GraphDiagram) -> Optional[int]:
-    """Walk each component from its minimal arc in flow order; a crossing
-    whose first visit rides the under-strand is bad.  None means the
-    diagram is descending, hence an unlink."""
-    _, labels = d.split_components()
-    comps: Dict[int, List[int]] = {}
-    for a, comp in labels.items():
-        comps.setdefault(comp, []).append(a)
-    visited: Dict[int, int] = {}
-    for comp in sorted(comps):
-        base = min(comps[comp])
-        a = base
-        while True:
-            e = d.heads[a]
-            if e[0] != "x":
-                raise InvalidDiagram(["skein recursion expects a link diagram"])
-            _, i, s = e
-            if i not in visited:
-                visited[i] = s
-                if s % 2 == 0:  # first arrival dives under
-                    return i
-            nxt = {0: 2, 1: 3, 3: 1}[s]
-            a = d.crossings[i][nxt]
-            if a == base:
-                break
-    return None
-
-
-def _switch_crossing(d: GraphDiagram, i: int) -> GraphDiagram:
-    c = d.crossings[i]
-    r = 3 if d.heads.get(c[3]) == ("x", i, 3) else 1
-    return d._rotate_crossings({i: r})
-
-
-def _oriented_smoothing(d: GraphDiagram, i: int) -> GraphDiagram:
-    if d.crossing_sign(i) > 0:
-        return _splice_pairs(d, i, ((0, 1), (2, 3)))
-    return _splice_pairs(d, i, ((0, 3), (1, 2)))
-
-
-def conway(d: GraphDiagram) -> Laurent:
-    """Skein polynomial: nabla(o) = 1, split links vanish, and
-    nabla(L+) - nabla(L-) = z nabla(L0)."""
-    if not d.is_link():
-        raise InvalidDiagram(["skein recursion is defined for link diagrams"])
-    memo: Dict[Tuple, Laurent] = {}
-    budget = [SKEIN_NODE_CAP]
-
-    z = Laurent.term(Z, (2,))
-
-    def rec(cur: GraphDiagram) -> Laurent:
-        cur = reduce_diagram(cur)
-        if budget[0] <= 0:
-            raise CapExceeded(f"skein recursion exceeded {SKEIN_NODE_CAP} nodes")
-        budget[0] -= 1
-        if not cur.crossings:
-            n = cur.loops
-            return Laurent.one(Z) if n == 1 else Laurent.zero(Z)
-        if _is_split(cur):
-            return Laurent.zero(Z)
-        key = cur.canonical_key()
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        bad = _first_bad_crossing(cur)
-        if bad is None:
-            ncomp, _ = cur.split_components()
-            value = Laurent.one(Z) if ncomp == 1 else Laurent.zero(Z)
-        else:
-            sign = cur.crossing_sign(bad)
-            switched = rec(_switch_crossing(cur, bad))
-            smoothed = rec(_oriented_smoothing(cur, bad))
-            value = switched + z * smoothed.scale(sign)
-        memo[key] = value
-        return value
-
-    return rec(d)
-
-
-def _wirtinger_arcs(d: GraphDiagram) -> Tuple[int, List[Tuple[int, int, int]]]:
-    """Over-arc classes: arcs fused across over-passages, numbered from 0.
-    Returns their count and each crossing's (over, under-in, under-out)
-    class triple."""
+def _over_arcs(d: GraphDiagram) -> Optional[List[Tuple[int, int, int]]]:
+    """Each crossing's (over, under-in, under-out) over-arc classes, arcs
+    fused across over-passages, numbered from 0; one list serves every
+    orientation.  None when the link is split, as when a component lies
+    above the rest: it never passes under, so adds a class and no row."""
+    if not d.crossings:
+        return [] if d.loops == 1 else None
+    if _is_split(d):
+        return None
     over = union_classes(d.arc_ids(), [(c[1], c[3]) for c in d.crossings])
     col = {cls: k for k, cls in enumerate(sorted(set(over.values())))}
-    return len(col), [(col[over[c[1]]], col[over[c[0]]], col[over[c[2]]]) for c in d.crossings]
+    if len(col) != len(d.crossings):
+        return None
+    return [(col[over[c[1]]], col[over[c[0]]], col[over[c[2]]]) for c in d.crossings]
 
 
 def _bareiss_det(m: List[List[int]]) -> int:
@@ -340,14 +266,14 @@ def _interpolate(values: List[int]) -> List[int]:
 
 
 def _fox_rows(
-    d: GraphDiagram, flipped: AbstractSet[int] = frozenset()
+    d: GraphDiagram,
+    arcs: Optional[List[Tuple[int, int, int]]],
+    flipped: AbstractSet[int] = frozenset(),
 ) -> Optional[List[List[List[int]]]]:
-    """Fox-derivative rows of the Wirtinger presentation of ``d`` with
-    the arcs in ``flipped``, a union of closed components, reversed.
-    Row 0 and column 0 are struck, and each entry is [constant,
-    coefficient of t].  None when every minor vanishes: the link is
-    split.  A diagram with no crossings is the unknot, with no rows, or
-    an unlink.
+    """Fox-derivative rows of the Wirtinger presentation of ``d``, with
+    over-arc classes ``arcs`` from ``_over_arcs`` (None when split), and
+    with the arcs in ``flipped``, a union of closed components, reversed.
+    Row 0 and column 0 are struck; each entry is [constant, t-coefficient].
 
     Each crossing gives one row over the over-arc classes, with every
     generator sent to t.  Positive crossings take the relation
@@ -358,18 +284,11 @@ def _fox_rows(
     absorbs; a row that ignored the sign would not.  Reversing components
     leaves the over-arc classes alone: in and out trade places where the
     under-strand is reversed, and the sign flips where exactly one of the
-    two strands is, so the rows are those of the reoriented diagram.  A
-    component that never passes under adds an over-arc class with no
-    row; it lies above the rest of the link, which is then split.
+    two strands is, so the rows are those of the reoriented diagram.
     """
-    if not d.crossings:
-        return [] if d.loops == 1 else None
-    if _is_split(d):
+    if arcs is None:
         return None
-    classes, arcs = _wirtinger_arcs(d)
     c = len(arcs)
-    if classes != c:
-        return None
     rows = []
     for i, (o, a, b) in enumerate(arcs[1:], start=1):
         under, over = d.crossings[i][0] in flipped, d.crossings[i][1] in flipped
@@ -387,19 +306,22 @@ def _fox_rows(
     return rows
 
 
-def _alexander_from_rows(rows: Optional[List[List[List[int]]]]) -> Laurent:
-    """Normalized Delta(t) of ``_fox_rows`` output.  The minor's
-    determinant has degree below the crossing count c, one more than
-    the row count, so it is evaluated at t = 0 .. c - 1 by Bareiss
-    elimination and interpolated exactly, then centered and signed by
-    ``normalize_alexander``."""
-    if rows is None:
-        return Laurent.zero(T)
-    values = [
+def _det_poly(rows: List[List[List[int]]]) -> List[int]:
+    """Unnormalized coefficients, constant first, of the determinant of
+    the rows [c0, c1] = c0 + c1 t, for the Fox minor and ``grid.conway``'s
+    Seifert rows alike: its degree is at most the row count r, so it is
+    evaluated at t = 0 .. r by Bareiss elimination and interpolated."""
+    return _interpolate([
         _bareiss_det([[c0 + c1 * t for c0, c1 in row] for row in rows])
         for t in range(len(rows) + 1)
-    ]
-    poly = _interpolate(values)
+    ])
+
+
+def _alexander_from_rows(rows: Optional[List[List[List[int]]]]) -> Laurent:
+    """Delta(t) of ``_fox_rows`` output, centered and signed."""
+    if rows is None:
+        return Laurent.zero(T)
+    poly = _det_poly(rows)
     return normalize_alexander(Laurent(T, {(2 * e,): v for e, v in enumerate(poly)}))
 
 
@@ -407,14 +329,15 @@ def alexander(d: GraphDiagram) -> Laurent:
     """Symmetric-normalized Alexander polynomial from the determinant of
     the Fox minor of ``_fox_rows``, a unit multiple of Delta(t).
 
-    The tests hold it against ``skein_alexander``, the Conway polynomial
-    under z = t^(1/2) - t^(-1/2), and each flipped orientation that
+    The tests hold it against ``skein_alexander``, their skein
+    recursion's Conway polynomial under z = t^(1/2) - t^(-1/2), and each
+    flipped orientation that
     ``fingerprint`` takes against ``alexander`` of the diagram rebuilt
     with those components reversed.
     """
     if not d.is_link():
         raise InvalidDiagram(["Alexander polynomial is defined for link diagrams"])
-    return _alexander_from_rows(_fox_rows(d))
+    return _alexander_from_rows(_fox_rows(d, _over_arcs(d)))
 
 
 def determinant(d: GraphDiagram) -> int:
@@ -425,11 +348,11 @@ def determinant(d: GraphDiagram) -> int:
     At t = -1 each Fox row is, up to sign, the Wirtinger coloring row
     2*over - in - out.  The tests hold the result against
     ``reference_determinant``, the Smith form of the coloring minor, and
-    against the Conway polynomial at z^2 = -4.
+    against their skein recursion's Conway polynomial at z^2 = -4.
     """
     if not d.is_link():
         raise InvalidDiagram(["determinant is defined for link diagrams"])
-    rows = _fox_rows(d)
+    rows = _fox_rows(d, _over_arcs(d))
     if rows is None:
         return 0
     return abs(_bareiss_det([[c0 - c1 for c0, c1 in row] for row in rows]))
@@ -509,10 +432,11 @@ def fingerprint(d: GraphDiagram) -> Fingerprint:
     j = min(jones_at.values(), key=Laurent.sort_key)
     if not reduced.crossings or _is_split(reduced):
         return Fingerprint(ncomp, j, alexander(reduced))
+    over = _over_arcs(reduced)
     arcs = [{a for a, k in labels.items() if k == comp} for comp in flippable]
     candidates = []
     for mask, w in enumerate(writhes):
         if jones_at[w] == j:
             flipped = set().union(*(arcs[k] for k in range(len(arcs)) if mask >> k & 1))
-            candidates.append(_alexander_from_rows(_fox_rows(reduced, flipped)))
+            candidates.append(_alexander_from_rows(_fox_rows(reduced, over, flipped)))
     return Fingerprint(ncomp, j, min(candidates, key=Laurent.sort_key))

@@ -7,6 +7,9 @@ even number of components.  Coefficients are arbitrary-precision ints.
 
 Polynomials are immutable.  One- and two-variable flavours share the same
 class; the variable tuple acts as a tag and mixing tags raises TagMismatch.
+
+``alexander_to_conway`` rewrites a polynomial in t in the Conway variable
+z = t^(1/2) - t^(-1/2).
 """
 
 from __future__ import annotations
@@ -194,6 +197,20 @@ def normalize_alexander(p: Laurent) -> Laurent:
     if p.terms[max(p.terms)] < 0:
         p = -p
     return p
+
+
+def alexander_to_conway(p: Laurent) -> Laurent:
+    """The polynomial in z = t^(1/2) - t^(-1/2) that ``p`` equals: each
+    top term c t^(k/2) left is that of c z^k, which is taken off.  A ``p``
+    that is no such polynomial leaves a negative degree: ValueError."""
+    terms: Dict[Monomial, int] = {}
+    while p:
+        (top,), coeff = max(p.terms.items())
+        if top < 0:
+            raise ValueError("not a polynomial in z = t^(1/2) - t^(-1/2)")
+        terms[(2 * top,)] = coeff
+        p = p - (Laurent(T, {(1,): 1, (-1,): -1}) ** top).scale(coeff)
+    return Laurent(Z, terms)
 
 
 def euler_substitute(p: Laurent, half_shift: bool = False) -> Laurent:

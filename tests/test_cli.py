@@ -102,6 +102,12 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
         '{"crossings": [[]]}',
         '{"crossings": [{}]}',
         '{"crossings": [[0, 0]]}',
+        # the trefoil with one field that int() would have coerced
+        '{"crossings": [[0, 2, 3, 1], [2, 4, 5, 3], [4, 0, 1, 5]], "loops": 1.5}',
+        '{"crossings": [[0, 2, 3, 1.7], [2, 4, 5, 3], [4, 0, 1, 5]]}',
+        '{"crossings": [[0, 2, 3, true], [2, 4, 5, 3], [4, 0, 1, 5]]}',
+        '{"crossings": [[0, 2, 3, "1"], [2, 4, 5, 3], [4, 0, 1, 5]]}',
+        '{"crossings": [[0, 2, 3, 1], [2, 4, 5, 3], [4, 0, 1, 5]], "orientations": {"0": 0}}',
     ],
     ids=[
         "list",
@@ -113,6 +119,11 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
         "empty_crossing",
         "object_crossing",
         "two_slot_crossing",
+        "float_loops",
+        "float_arc",
+        "bool_arc",
+        "string_arc",
+        "zero_orientation",
     ],
 )
 def test_non_diagram_document_exit_two(command, text, tmp_path, capsys):
@@ -189,6 +200,16 @@ def test_grid_document_is_not_a_diagram(command, tmp_path, capsys):
     assert code == 2
     assert "unknown keys" in err
     assert "Traceback" not in err
+
+
+def test_grid_document_with_boolean_columns_exit_two(tmp_path, capsys):
+    p = tmp_path / "grid.json"
+    p.write_text('{"n": 2, "X": [true, false], "O": [false, true]}')
+    code = main(["floer", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "invalid grid: grid payload fields n, X and O must be" in err
+    assert out == "" and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=lambda c: c[0])

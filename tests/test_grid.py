@@ -96,6 +96,8 @@ def test_json_round_trip():
         GridDiagram.from_json({"n": 2, "X": [1, 0]})
     with pytest.raises(InvalidDiagram):
         GridDiagram.from_json({"n": 2, "X": [1, 0], "O": ["0", 1]})
+    with pytest.raises(InvalidDiagram, match="n, X and O must be an integer and two integer lists"):
+        GridDiagram.from_json({"n": 2, "X": [True, False], "O": [False, True]})
 
 
 def test_component_counts():
@@ -201,6 +203,8 @@ def test_wrong_braid_closure_raises_routing_failure(monkeypatch):
     mirror_braid_words(monkeypatch)
     with pytest.raises(RoutingFailure, match="extracted braid closure presents a different link"):
         piece_grids(trefoil_right())
+    with pytest.raises(RoutingFailure, match="extracted braid closure presents a different link"):
+        grid_mod.conway(trefoil_right())
 
 
 def test_braid_word_recovers_torus_words():

@@ -1,8 +1,11 @@
-"""The runtime imports only the standard library and itself."""
+"""The runtime imports only the standard library and itself, and the
+classical-invariant layers import no homology kernel."""
 
 import ast
 import sys
 from pathlib import Path
+
+import pytest
 
 import graphhom
 
@@ -33,3 +36,28 @@ def test_runtime_is_stdlib_only():
         if module not in allowed
     }
     assert outside == set()
+
+
+def package_imports(path):
+    """Each graphhom module the file at path imports by relative import."""
+    tree = ast.parse(path.read_text("utf-8"), filename=str(path))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            yield node.module
+
+
+def reachable(module):
+    """Every graphhom module that importing ``module`` loads."""
+    paths = {path.stem: path for path in SOURCES}
+    seen, todo = set(), [module]
+    while todo:
+        for nxt in package_imports(paths[todo.pop()]):
+            if nxt not in seen:
+                seen.add(nxt)
+                todo.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize("module", ["grid", "invariants"])
+def test_classical_layers_import_no_homology_kernel(module):
+    assert reachable(module) & {"khovanov", "linalg"} == set()

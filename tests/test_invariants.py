@@ -2,23 +2,33 @@
 
 Expected values are the standard table entries for the small knots and
 links in the catalog, written out as explicit coefficient dictionaries.
+The skein recursion ``skein_conway`` is the reference for the Conway
+polynomial that ``grid.conway`` takes from a Seifert matrix, and for
+the Alexander polynomial and determinant of the Fox route.
 """
 
 import json
 from importlib import resources
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from graphhom import catalog
-from graphhom.diagrams import GraphDiagram, disjoint_union, connected_sum
+from graphhom.diagrams import (
+    GraphDiagram,
+    _splice_pairs,
+    connected_sum,
+    disjoint_union,
+    union_classes,
+)
 from graphhom.errors import CapExceeded, InvalidDiagram
+from graphhom.grid import conway
 from graphhom.invariants import (
     A,
     DELTA,
     ORIENTATION_FLIP_CAP,
     alexander,
-    conway,
     determinant,
     fingerprint,
     jones,
@@ -29,8 +39,7 @@ from graphhom.invariants import (
     _fox_rows,
     _is_split,
     _mask_writhes,
-    _switch_crossing,
-    _wirtinger_arcs,
+    _over_arcs,
 )
 from graphhom.kauffman import family
 from graphhom.laurent import Laurent, T, Z, normalize_alexander
@@ -396,6 +405,91 @@ def test_reduce_keeps_clasp():
     assert len(reduce_diagram(catalog.hopf_positive()).crossings) == 2
 
 
+# -- skein recursion: the reference for the Conway polynomial ----------------
+
+# Most nodes the skein recursion of one Conway polynomial visits.
+SKEIN_NODE_CAP = 100000
+
+
+def _first_bad_crossing(d: GraphDiagram) -> Optional[int]:
+    """Walk each component from its minimal arc in flow order; a crossing
+    whose first visit rides the under-strand is bad.  None means the
+    diagram is descending, hence an unlink."""
+    _, labels = d.split_components()
+    comps: Dict[int, List[int]] = {}
+    for a, comp in labels.items():
+        comps.setdefault(comp, []).append(a)
+    visited: Dict[int, int] = {}
+    for comp in sorted(comps):
+        base = min(comps[comp])
+        a = base
+        while True:
+            e = d.heads[a]
+            if e[0] != "x":
+                raise InvalidDiagram(["skein recursion expects a link diagram"])
+            _, i, s = e
+            if i not in visited:
+                visited[i] = s
+                if s % 2 == 0:  # first arrival dives under
+                    return i
+            nxt = {0: 2, 1: 3, 3: 1}[s]
+            a = d.crossings[i][nxt]
+            if a == base:
+                break
+    return None
+
+
+def _switch_crossing(d: GraphDiagram, i: int) -> GraphDiagram:
+    c = d.crossings[i]
+    r = 3 if d.heads.get(c[3]) == ("x", i, 3) else 1
+    return d._rotate_crossings({i: r})
+
+
+def _oriented_smoothing(d: GraphDiagram, i: int) -> GraphDiagram:
+    if d.crossing_sign(i) > 0:
+        return _splice_pairs(d, i, ((0, 1), (2, 3)))
+    return _splice_pairs(d, i, ((0, 3), (1, 2)))
+
+
+def skein_conway(d: GraphDiagram) -> Laurent:
+    """Skein polynomial: nabla(o) = 1, split links vanish, and
+    nabla(L+) - nabla(L-) = z nabla(L0)."""
+    if not d.is_link():
+        raise InvalidDiagram(["skein recursion is defined for link diagrams"])
+    memo: Dict[Tuple, Laurent] = {}
+    budget = [SKEIN_NODE_CAP]
+
+    z = Laurent.term(Z, (2,))
+
+    def rec(cur: GraphDiagram) -> Laurent:
+        cur = reduce_diagram(cur)
+        if budget[0] <= 0:
+            raise CapExceeded(f"skein recursion exceeded {SKEIN_NODE_CAP} nodes")
+        budget[0] -= 1
+        if not cur.crossings:
+            n = cur.loops
+            return Laurent.one(Z) if n == 1 else Laurent.zero(Z)
+        if _is_split(cur):
+            return Laurent.zero(Z)
+        key = cur.canonical_key()
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        bad = _first_bad_crossing(cur)
+        if bad is None:
+            ncomp, _ = cur.split_components()
+            value = Laurent.one(Z) if ncomp == 1 else Laurent.zero(Z)
+        else:
+            sign = cur.crossing_sign(bad)
+            switched = rec(_switch_crossing(cur, bad))
+            smoothed = rec(_oriented_smoothing(cur, bad))
+            value = switched + z * smoothed.scale(sign)
+        memo[key] = value
+        return value
+
+    return rec(d)
+
+
 def test_conway_base_cases():
     assert conway(catalog.unknot()) == Laurent.one(Z)
     assert conway(catalog.unlink(2)) == Laurent.zero(Z)
@@ -445,7 +539,7 @@ def test_determinant_agrees_with_skein_route():
         catalog.figure_eight,
     ):
         d = make()
-        nabla = conway(d)
+        nabla = skein_conway(d)
         even = sum(
             c * (-4) ** (m // 4) for (m,), c in nabla.terms.items() if m % 4 == 0
         )
@@ -468,11 +562,14 @@ def reference_determinant(d):
         return 1 if d.loops == 1 else 0
     if _is_split(d):
         return 0
-    classes, arcs = _wirtinger_arcs(d)
-    if classes != len(arcs):  # a component lies over the rest: split
+    over = union_classes(d.arc_ids(), [(c[1], c[3]) for c in d.crossings])
+    col = {cls: k for k, cls in enumerate(sorted(set(over.values())))}
+    classes = len(col)
+    if classes != len(d.crossings):  # a component lies over the rest: split
         return 0
     rows = []
-    for o, a, b in arcs:
+    for c in d.crossings:
+        o, a, b = col[over[c[1]]], col[over[c[0]]], col[over[c[2]]]
         row = [0] * classes
         row[o] += 2
         row[a] -= 1
@@ -571,7 +668,9 @@ def flip_sets(d):
 @pytest.mark.parametrize("name,d", REORIENTATION_POOL, ids=[n for n, _ in REORIENTATION_POOL])
 def test_flipped_fox_rows_match_reversed_diagrams(name, d):
     for arcs in flip_sets(d):
-        assert _alexander_from_rows(_fox_rows(d, arcs)) == alexander(_reverse_arcs(d, arcs))
+        assert _alexander_from_rows(_fox_rows(d, _over_arcs(d), arcs)) == alexander(
+            _reverse_arcs(d, arcs)
+        )
 
 
 def test_reorientation_pool_covers_both_flip_cases():
@@ -669,7 +768,7 @@ def test_empty_diagram_is_invalid(invariant):
 
 
 def skein_alexander(d):
-    return normalize_alexander(conway_to_alexander(conway(d)))
+    return normalize_alexander(conway_to_alexander(skein_conway(d)))
 
 
 def orientations(d):
@@ -747,13 +846,13 @@ def test_alexander_of_split_diagrams_is_zero():
     # Switching one clasp crossing lays one component over the other:
     # it never passes under, so it adds an over-arc class with no row.
     over = _switch_crossing(hopf, 0)
-    assert _wirtinger_arcs(over)[0] == len(over.crossings) + 1
+    assert not _is_split(over) and _over_arcs(over) is None
     borromean_on_top = BORROMEAN
     _, labels = BORROMEAN.split_components()
     for i, c in enumerate(BORROMEAN.crossings):
         if labels[c[0]] == 0:  # component 0 passes under here
             borromean_on_top = _switch_crossing(borromean_on_top, i)
-    assert _wirtinger_arcs(borromean_on_top)[0] == len(BORROMEAN.crossings) + 1
+    assert not _is_split(borromean_on_top) and _over_arcs(borromean_on_top) is None
     split = [
         over,
         borromean_on_top,
@@ -780,3 +879,54 @@ def test_alexander_matches_skein_on_random_braids(braid):
     word, strands = braid
     d = catalog.braid_closure(word, strands)
     assert alexander(d) == skein_alexander(d)
+
+
+# -- Conway polynomial from the Seifert matrix against the skein recursion -----
+
+
+@pytest.mark.parametrize("name,d", REORIENTATION_POOL, ids=[n for n, _ in REORIENTATION_POOL])
+def test_conway_matches_skein_under_every_orientation(name, d):
+    for arcs in flip_sets(d):
+        cur = _reverse_arcs(d, arcs)
+        assert conway(cur) == skein_conway(cur)
+
+
+# Closures up to 16 crossings; the skein recursion takes seconds past that.
+CONWAY_BRAIDS = BRAIDS + [b for b in BENCHMARK_BRAIDS if b not in BRAIDS] + [
+    ([1, -2] * 7, 3),
+    ([1, 2] * 7, 3),
+    ([1, -2, 3] * 5, 4),
+    ([1, -2] * 8, 3),
+    ([1, 1, -2, 3, -2, 3] * 2 + [1, 2, -3, 2], 4),
+    ([2, 2, -1, 2, -1, -1, -1, -2, 1, -2, -1, -1], 3),
+]
+
+CONWAY_BASES = [(name, census_link(name)) for name in CENSUS_LINKS] + [
+    ("braid(" + ",".join(map(str, word)) + ")", catalog.braid_closure(word, strands))
+    for word, strands in CONWAY_BRAIDS
+]
+
+CONWAY_POOL = (
+    CONWAY_BASES
+    + [(f"{name} mirrored", d.mirror()) for name, d in CONWAY_BASES]
+    + [
+        (f"{name} scrambled {seed}", scrambled(d, seed))
+        for name, d in CONWAY_BASES
+        if d.crossings and len(d.crossings) <= 10
+        for seed in (1, 2, 3)
+    ]
+)
+
+
+@pytest.mark.parametrize("name,d", CONWAY_POOL, ids=[n for n, _ in CONWAY_POOL])
+def test_conway_matches_skein(name, d):
+    assert conway(d) == skein_conway(d)
+
+
+def test_conway_pool_reaches_sixteen_crossings_and_both_parities():
+    sizes = [len(d.crossings) for _, d in CONWAY_POOL]
+    assert max(sizes) == 16
+    parities = {d.split_components()[0] % 2 for _, d in CONWAY_POOL}
+    assert parities == {0, 1}
+    moved = [d for name, d in CONWAY_POOL if "scrambled" in name]
+    assert sum(has_kink(d) for d in moved) >= 3

@@ -9,6 +9,7 @@ from graphhom.laurent import (
     T,
     UT,
     Z,
+    alexander_to_conway,
     euler_substitute,
     exact_divide,
     normalize_alexander,
@@ -104,6 +105,25 @@ def test_conway_to_alexander_on_known_skeins():
     assert conway_to_alexander(nabla) == Laurent(T, {(2,): 1, (0,): -1, (-2,): 1})
     # hopf: z becomes t^(1/2) - t^(-1/2)
     assert conway_to_alexander(Laurent(Z, {(2,): 1})) == Laurent(T, {(1,): 1, (-1,): -1})
+
+
+skein_z = st.dictionaries(
+    st.integers(min_value=0, max_value=8), st.integers(min_value=-5, max_value=5), max_size=6
+).map(lambda d: Laurent(Z, {(2 * k,): c for k, c in d.items()}))
+
+
+@given(skein_z)
+def test_alexander_to_conway_inverts_conway_to_alexander(nabla):
+    assert alexander_to_conway(conway_to_alexander(nabla)) == nabla
+
+
+def test_alexander_to_conway_rejects_what_is_not_a_polynomial_in_z():
+    # t^(1/2) + t^(-1/2) is symmetric but of the wrong parity; t - 1 is
+    # not symmetric at all
+    with pytest.raises(ValueError):
+        alexander_to_conway(Laurent(T, {(1,): 1, (-1,): 1}))
+    with pytest.raises(ValueError):
+        alexander_to_conway(Laurent(T, {(2,): 1, (0,): -1}))
 
 
 def test_euler_substitute_alternates_on_integer_gradings():
