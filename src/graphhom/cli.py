@@ -21,7 +21,7 @@ from importlib import resources
 from typing import List, Optional, Tuple
 
 from .diagrams import GraphDiagram
-from .errors import CapExceeded, GraphhomError, InvalidDiagram
+from .errors import CapExceeded, GraphhomError, InvalidDiagram, PatternMismatch
 from .floer import FLOER_GRID_CAP
 from .graph_homology import MemberReport, _member_fields, floer_fields, graph_homology, khovanov_fields
 from .grid import GridDiagram, conway, grid_to_diagram, grid_union, piece_grids, simplify_grid
@@ -106,6 +106,12 @@ def _require_link(d: GraphDiagram, path: str) -> GraphDiagram:
     if not d.is_link():
         raise _Exit(2, f"{path}: this command needs a link diagram (no vertices)")
     return d
+
+
+def _non_negative(text: str) -> int:
+    if not text.strip().removeprefix("+").isdecimal():
+        raise argparse.ArgumentTypeError(f"{text!r} is not a whole number of at least 0")
+    return int(text)
 
 
 def _memory_guard() -> None:
@@ -261,9 +267,12 @@ def _cmd_graph_homology(args) -> int:
 def _cmd_moves(args) -> int:
     d = _load_diagram(args.path)
     kinds = set(args.kinds.split(",")) if args.kinds else None
-    mutated, applied = random_move_sequence(
-        d, count=args.count, seed=args.seed, budget=args.budget, kinds=kinds
-    )
+    try:
+        mutated, applied = random_move_sequence(
+            d, count=args.count, seed=args.seed, budget=args.budget, kinds=kinds
+        )
+    except PatternMismatch as exc:
+        raise _Exit(2, f"--kinds {args.kinds!r}: {exc}")
     sys.stderr.write(f"applied {len(applied)} moves\n")
     _emit(mutated.to_json())
     return 0
@@ -355,7 +364,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("family", help="enumerate the link family of a graph")
     p.add_argument("path")
-    p.add_argument("--max-assignments", type=int, default=FAMILY_ASSIGNMENT_CAP)
+    p.add_argument("--max-assignments", type=_non_negative, default=FAMILY_ASSIGNMENT_CAP)
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser("invariants", help="classical polynomial invariants of a link")
@@ -365,13 +374,13 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("khovanov", help="Khovanov homology of a link")
     p.add_argument("path")
     p.add_argument("--coeffs", choices=["z", "f2"], default="z")
-    p.add_argument("--max-crossings", type=int, default=KHOVANOV_CROSSING_CAP)
+    p.add_argument("--max-crossings", type=_non_negative, default=KHOVANOV_CROSSING_CAP)
     p.add_argument("--check-euler", action="store_true")
     p.set_defaults(func=_cmd_khovanov)
 
     p = sub.add_parser("floer", help="grid homology of a link or grid diagram")
     p.add_argument("path")
-    p.add_argument("--max-grid", type=int, default=FLOER_GRID_CAP)
+    p.add_argument("--max-grid", type=_non_negative, default=FLOER_GRID_CAP)
     p.set_defaults(func=_cmd_floer)
 
     p = sub.add_parser("graph-homology", help="family direct-sum homology report")
@@ -379,8 +388,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--floer", action="store_true")
     p.add_argument("--khovanov", action="store_true")
     p.add_argument("--coeffs", choices=["z", "f2"], default="z")
-    p.add_argument("--max-grid", type=int, default=FLOER_GRID_CAP)
-    p.add_argument("--max-crossings", type=int, default=KHOVANOV_CROSSING_CAP)
+    p.add_argument("--max-grid", type=_non_negative, default=FLOER_GRID_CAP)
+    p.add_argument("--max-crossings", type=_non_negative, default=KHOVANOV_CROSSING_CAP)
     p.add_argument("--multiset", action="store_true")
     p.add_argument("--summary", action="store_true")
     p.set_defaults(func=_cmd_graph_homology)
@@ -388,7 +397,7 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moves", help="apply a seeded random move sequence")
     p.add_argument("path")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--count", type=int, default=20)
+    p.add_argument("--count", type=_non_negative, default=20)
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--kinds", default=None, help="comma-separated subset of R1..R5")
     p.set_defaults(func=_cmd_moves)

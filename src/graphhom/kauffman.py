@@ -49,8 +49,6 @@ _End = Tuple[int, Tuple[str, int, int]]
 def vertex_choices(valence: int) -> List[SlotPair]:
     """All unordered slot pairs a replacement can connect; empty when
     there is nothing to connect through."""
-    if valence < 0:
-        raise InvalidDiagram(["negative valence"])
     return [(i, j) for i in range(valence) for j in range(i + 1, valence)]
 
 
@@ -291,8 +289,14 @@ def closed_pair_tuples(g: GraphDiagram) -> List[Tuple[Tuple, Tuple, int]]:
     the vertices W off S.  Those choices number A(W), where by
     inclusion-exclusion over the disjoint systems T of cycles inside W,
     A(W) = sum of (-1)^|T| times the product of c_w over w in W off T,
-    c_w being the number of choices at w.  The first assignment takes,
-    vertex by vertex, the first choice that still has completions."""
+    c_w being the number of choices at w.
+
+    The first assignment walks W in order, giving each vertex its first
+    choice that closes no cycle whose other vertices are fixed: those on
+    S, those of valence 2, and those walked so far.  At valence k >= 3 a
+    choice closes one only if paths through fixed pairs join its slots;
+    such slot pairs are disjoint, so at most floor(k/2) of the C(k, 2)
+    choices do.  So each walked prefix extends, and A(W) is never 0."""
     options = [vertex_choices(len(v)) or [None] for v in g.vertices]
     cycles, forced = _cycles(g)
     # vertices with more than one choice
@@ -311,39 +315,25 @@ def closed_pair_tuples(g: GraphDiagram) -> List[Tuple[Tuple, Tuple, int]]:
             free_memo[mask] = total
         return free_memo[mask]
 
-    def completions(mask: int, fixed: Dict[int, Optional[SlotPair]]) -> int:
-        """``free(mask)`` with the choices in ``fixed`` made, which sit at
-        the lowest vertices of ``mask``."""
-        v = (mask & -mask).bit_length() - 1
-        if v not in fixed:
-            return free(mask)
-        total = completions(mask & ~(1 << v), fixed)
-        for cycle, pairs in cycles[v]:
-            if cycle & mask == cycle and all(fixed.get(u, p) == p for u, p in pairs.items()):
-                total -= completions(mask & ~cycle, fixed)
-        return total
-
+    flat = [c for per in cycles for c in per]
+    passing = [[c for c in flat if c[0] >> v & 1] for v in range(len(options))]
     found = []
 
     def add(mask: int, pairs: Dict[int, SlotPair]) -> None:
         rest = full & ~mask
-        count = free(rest)
-        if not count:
-            return
-        fixed: Dict[int, Optional[SlotPair]] = {}
-        order = []
+        fixed = dict(pairs)
         for v, choices in enumerate(options):
             if rest >> v & 1:
-                for k, choice in enumerate(choices):
-                    fixed[v] = choice
-                    if completions(rest, fixed):
-                        break
-            else:
-                k = choices.index(pairs[v]) if v in pairs else 0
-            order.append(k)
-        found.append((order, tuple(map(pairs.get, range(len(options)))), count))
-
-    flat = [c for per in cycles for c in per]
+                # pairs at v closing a cycle whose other open vertices lie below v
+                shut = {
+                    through[v]
+                    for cycle, through in passing[v]
+                    if (cycle & rest) >> v == 1
+                    and all(fixed.get(u, p) == p for u, p in through.items())
+                }
+                fixed[v] = next(choice for choice in choices if choice not in shut)
+        first = tuple(fixed.get(v, choices[0]) for v, choices in enumerate(options))
+        found.append((tuple(map(pairs.get, range(len(options)))), first, free(rest)))
 
     def systems(start: int, mask: int, pairs: Dict[int, SlotPair]) -> None:
         add(mask, pairs)
@@ -353,11 +343,9 @@ def closed_pair_tuples(g: GraphDiagram) -> List[Tuple[Tuple, Tuple, int]]:
                 systems(k + 1, mask | cycle, {**pairs, **through})
 
     systems(0, 0, forced)
-    found.sort(key=lambda f: f[0])
-    return [
-        (key, tuple(c[k] for c, k in zip(options, order)), count)
-        for order, key, count in found
-    ]
+    # vertex_choices lists pairs in increasing order, so this is product order
+    found.sort(key=lambda f: f[1])
+    return found
 
 
 def _unlink_circles(g: GraphDiagram, keys: List[Tuple]) -> List[Optional[int]]:

@@ -14,8 +14,7 @@ slot tuple then reads counterclockwise from that ray.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .diagrams import Dart, Endpoint, GraphDiagram, splice_crossing
 from .errors import PatternMismatch
@@ -37,8 +36,7 @@ def crossing_from_compass(
     return tuple(rays[r] for r in order), {r: k for k, r in enumerate(order)}
 
 
-@dataclass(frozen=True)
-class MoveSite:
+class MoveSite(NamedTuple):
     """A move kind, its direction, and the darts or indices it targets.
 
     params by kind and direction:
@@ -581,7 +579,11 @@ def random_move_sequence(
     kinds: Optional[set] = None,
 ) -> Tuple[GraphDiagram, List[MoveSite]]:
     """Apply count random legal moves, biased toward removals once the
-    crossing count exceeds the budget.  Deterministic in the seed."""
+    crossing count exceeds the budget.  Deterministic in the seed;
+    PatternMismatch for a kind outside R1..R5."""
+    unknown = set(kinds or ()) - {"R1", "R2", "R3", "R4", "R5"}
+    if unknown:
+        raise PatternMismatch(f"unknown move kinds {sorted(unknown)}")
     rng = random.Random(seed)
     if budget is None:
         budget = len(d.crossings) + 4

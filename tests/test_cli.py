@@ -225,6 +225,35 @@ def test_nonplanar_pd_exit_two(command, tmp_path, capsys):
     assert out == "" and "Traceback" not in err
 
 
+# (diagram, argv without the path, the bad value as stderr names it)
+BAD_OPTION_VALUES = [
+    (theta, ["moves", "--seed", "1", "--kinds", "R9"], "'R9'"),
+    (theta, ["moves", "--seed", "1", "--kinds", ","], "','"),
+    (theta, ["moves", "--seed", "1", "--count", "-3"], "-3"),
+    (theta, ["family", "--max-assignments", "-1"], "-1"),
+    (trefoil_right, ["floer", "--max-grid", "-1"], "-1"),
+    (trefoil_right, ["khovanov", "--max-crossings", "-1"], "-1"),
+    (theta, ["graph-homology", "--max-grid", "-1"], "-1"),
+    (theta, ["graph-homology", "--max-crossings", "-2"], "-2"),
+]
+
+
+@pytest.mark.parametrize(
+    "diagram,argv,named", BAD_OPTION_VALUES, ids=[" ".join(a) for _, a, _ in BAD_OPTION_VALUES]
+)
+def test_bad_option_value_exit_two(diagram, argv, named, tmp_path, capsys):
+    p = tmp_path / "d.json"
+    p.write_text(json.dumps(diagram().to_json()))
+    try:
+        code = main([argv[0], str(p), *argv[1:]])
+    except SystemExit as exc:  # argparse rejects a bad value itself
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert named in err
+    assert out == "" and "Traceback" not in err
+
+
 def test_missing_file_exit_two(capsys):
     code, _ = run_cli(["validate", "/nonexistent/x.json"], capsys=capsys)
     assert code == 2

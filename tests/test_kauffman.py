@@ -126,6 +126,10 @@ BOUQUET = GraphDiagram.from_pd([], [(0, 0, 1, 1)])
 CROSSED = GraphDiagram.from_pd([(0, 1, 2, 3)], [(0, 3, 2, 1)], orientations={1: 1, 3: -1})
 # Two valence-2 vertices joined by two arcs.
 LENS = GraphDiagram.from_pd([], [(0, 1), (0, 1)])
+# A valence-5 vertex with two loops and a pendant edge to a valence-1
+# vertex, and a valence-6 vertex with three loops.
+PENDANT_BOUQUET = GraphDiagram.from_pd([], [(0, 0, 1, 1, 2), (2,)])
+TRIPLE_BOUQUET = GraphDiagram.from_pd([], [(0, 0, 1, 1, 2, 2)])
 
 # Graphs with the vertex shapes a memo key must get right.
 CORNER_GRAPHS = {
@@ -135,6 +139,8 @@ CORNER_GRAPHS = {
     "crossed": connected_sum(CROSSED, connected_sum(theta(), hopf_handcuff())),
     "crossed+bouquet": connected_sum(CROSSED, BOUQUET),
     "lens": connected_sum(LENS, hopf_handcuff()),
+    "pendant bouquet": connected_sum(hopf_handcuff(), PENDANT_BOUQUET),
+    "triple bouquet": connected_sum(hopf_handcuff(), TRIPLE_BOUQUET),
     # components that meet no vertex: a ring around a theta edge, and a
     # kinked circle beside a theta
     "hopf#theta": connected_sum(hopf_positive(), theta()),
@@ -164,7 +170,7 @@ ORACLE_POOL = oracle_pool()
 def test_oracle_pool_covers_the_memo_key_corners():
     graphs = [g for _, g in ORACLE_POOL]
     valences = {len(v) for g in graphs for v in g.vertices}
-    assert {1, 2, 3, 4} <= valences
+    assert {1, 2, 3, 4, 5, 6} <= valences
     assert any(len(set(v)) < len(v) for g in graphs for v in g.vertices)
     assert sum(name.startswith("census") for name, _ in ORACLE_POOL) == 3
     assert any(vertex_free_edges(g) for g in graphs)
@@ -224,8 +230,9 @@ def test_closed_pair_tuples_match_reference(name, g):
 
 
 # A theta whose first edge passes a valence-2 vertex, numbered last: the
-# first choices at vertices 0 and 1 close a cycle through it, so only a
-# count over completions finds the first assignment that closes nothing.
+# first choices at vertices 0 and 1 close a cycle through it, so the first
+# assignment that closes nothing is found only if valence-2 vertices count
+# as fixed from the start.
 SUBDIVIDED_THETA = GraphDiagram.from_pd([], [(0, 1, 2), (1, 3, 2), (0, 3)])
 # The same, summed with a Hopf handcuff along the edge that skips vertex 2.
 SUBDIVIDED_SUM = connected_sum(SUBDIVIDED_THETA, hopf_handcuff(), arc_a=2)

@@ -2,6 +2,8 @@
 insert/remove pair restores the original up to relabeling, and link
 invariants survive random move sequences."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -17,8 +19,10 @@ from graphhom.catalog import (
     trefoil_right,
     unknot,
 )
+from graphhom.diagrams import connected_sum
 from graphhom.errors import PatternMismatch
 from graphhom.invariants import jones, kauffman_bracket
+from graphhom.kauffman import assignment_count, family
 from graphhom.laurent import Laurent
 from graphhom.moves import (
     MoveSite,
@@ -311,6 +315,25 @@ def test_random_sequence_deterministic():
     second = random_move_sequence(theta(), 10, seed=99)
     assert first[1] == second[1]
     assert first[0].canonical_key() == second[0].canonical_key()
+
+
+@pytest.mark.parametrize("kinds", [{"R9"}, {""}, {"R1", "r2"}])
+def test_random_sequence_rejects_unknown_kinds(kinds):
+    with pytest.raises(PatternMismatch):
+        random_move_sequence(theta(), 5, seed=1, kinds=kinds)
+
+
+def test_g6_scramble_stream_is_pinned():
+    """The ROADMAP's G6 and the benchmark's graph inputs are R4/R5
+    scrambles; a change to the site order or the random draw moves them."""
+    g = connected_sum(hopf_handcuff(), connected_sum(theta(), hopf_handcuff()))
+    d, applied = random_move_sequence(g, count=10, seed=3, kinds={"R4", "R5"})
+    digest = hashlib.sha256(json.dumps(d.to_json(), sort_keys=True).encode()).hexdigest()
+    assert digest == "823ffcbda208fa15bf141e7b204457f676db3b0ba04e8601410f5d79d8371df4"
+    assert len(applied) == 10
+    assert (len(d.crossings), len(d.vertices)) == (10, 6)
+    assert assignment_count(d) == 729
+    assert len(family(d).members) == 8
 
 
 def test_legal_sites_all_apply():
