@@ -266,7 +266,7 @@ def _cmd_graph_homology(args) -> int:
 
 def _cmd_moves(args) -> int:
     d = _load_diagram(args.path)
-    kinds = set(args.kinds.split(",")) if args.kinds else None
+    kinds = None if args.kinds is None else set(args.kinds.split(","))
     try:
         mutated, applied = random_move_sequence(
             d, count=args.count, seed=args.seed, budget=args.budget, kinds=kinds
@@ -398,7 +398,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("path")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--count", type=_non_negative, default=20)
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_non_negative, default=None)
     p.add_argument("--kinds", default=None, help="comma-separated subset of R1..R5")
     p.set_defaults(func=_cmd_moves)
 

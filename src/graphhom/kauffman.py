@@ -11,14 +11,12 @@ that lie on a cycle of graph edges (arcs joined through crossings)
 passing each of its vertices through the chosen pair.  They form a
 vertex-disjoint system of such cycles.  ``family`` enumerates the
 cycles and their disjoint systems, counts each system's assignments by
-inclusion-exclusion, and builds, reduces and keys one link per system,
-from the system's first assignment in product order.  A system none of
-whose crossings keeps both strands leaves a crossing-free unlink, whose
-circle count is read off the system before any build, so only the first
-system with each count is built.  Assignments are grouped by the
-canonical key of their reduced link, each group is fingerprinted once,
-and groups with equal fingerprints merge into one member, whose diagram
-is its first link in product order.
+inclusion-exclusion, and builds one link per system, from the system's
+first assignment in product order.  Systems often build the same link,
+so each distinct nonempty link is reduced and keyed once.  Assignments
+are grouped by the canonical key of their reduced link, each group is
+fingerprinted once, and groups with equal fingerprints merge into one
+member, whose diagram is its first link in product order.
 """
 
 from __future__ import annotations
@@ -203,7 +201,6 @@ class FamilyMember:
 
 @dataclass(frozen=True)
 class LinkFamily:
-    source: GraphDiagram
     assignments: int
     members: Tuple[FamilyMember, ...]
 
@@ -348,71 +345,32 @@ def closed_pair_tuples(g: GraphDiagram) -> List[Tuple[Tuple, Tuple, int]]:
     return found
 
 
-def _unlink_circles(g: GraphDiagram, keys: List[Tuple]) -> List[Optional[int]]:
-    """For each tuple of closed pairs (None where a vertex's pair is
-    open), the number of circles of its link when that link is a
-    crossing-free unlink, else None.
-
-    An edge (arcs joined through crossings) is closed when it meets no
-    vertex or when the closed pairs hold its ends.  A crossing survives
-    the replacement exactly when both of its strands lie on closed edges;
-    when none does, every closed curve becomes a crossing-free circle, so
-    the link is ``g.loops`` plus one circle per class of closed edges
-    joined through the closed pairs."""
-    edge = g.strand_classes()
-    free = set(edge.values()) - {edge[a] for v in g.vertices for a in v}
-    strands = [(edge[c[0]], edge[c[1]]) for c in g.crossings]
-    out: List[Optional[int]] = []
-    for key in keys:
-        closed = set(free)
-        joins = []
-        for vi, pair in enumerate(key):
-            if pair is not None:
-                ends = (edge[g.vertices[vi][pair[0]]], edge[g.vertices[vi][pair[1]]])
-                closed.update(ends)
-                joins.append(ends)
-        if any(u in closed and o in closed for u, o in strands):
-            out.append(None)
-        else:
-            out.append(g.loops + len(set(union_classes(closed, joins).values())))
-    return out
-
-
 def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
     """All nonempty links produced by vertex replacements, deduplicated
     by fingerprint in deterministic order.
 
-    ``apply_replacement``, ``reduce_diagram`` and ``canonical_key`` run
-    once per tuple of closed pairs, on its first assignment in
-    ``itertools.product`` order over the vertices' choices, and the
-    tuple's group gains that tuple's assignment count; see
-    ``closed_pair_tuples``.  A tuple whose link ``_unlink_circles``
-    predicts to be a crossing-free unlink is built only when it is the
-    first with its circle count; later ones add their counts to that
-    group unbuilt, and the empty link (no circles) is never built."""
+    ``apply_replacement`` runs once per tuple of closed pairs, on its
+    first assignment in ``itertools.product`` order over the vertices'
+    choices; see ``closed_pair_tuples``.  ``reduce_diagram`` and
+    ``canonical_key`` run once per distinct nonempty link so built, and
+    the group of its key gains the tuple's assignment count."""
     g.validate_strict()
     n = assignment_count(g)
     if n > cap:
         raise CapExceeded(f"{n} replacement assignments exceed the cap of {cap}")
-    systems = closed_pair_tuples(g)
-    predicted = _unlink_circles(g, [key for key, _, _ in systems])
     # reduced canonical key -> [first link, its reduction, assignment count]
     groups: Dict[Tuple, List] = {}
-    # circle count -> canonical key of the crossing-free unlink's group
-    unlinks: Dict[int, Tuple] = {}
-    for (_, first, count), circles in zip(systems, predicted):
-        if circles == 0:
-            continue
-        if circles in unlinks:
-            groups[unlinks[circles]][2] += count
-            continue
+    # exact form of a built link -> its group
+    by_form: Dict[Tuple, List] = {}
+    for _, first, count in closed_pair_tuples(g):
         link = apply_replacement(g, dict(enumerate(first)))
-        if link.crossings or link.loops:
+        if not (link.crossings or link.loops):
+            continue
+        form = (link.crossings, link.loops, tuple(sorted(link.heads.items())))
+        if form not in by_form:
             reduced = reduce_diagram(link)
-            canonical = reduced.canonical_key()
-            groups.setdefault(canonical, [link, reduced, 0])[2] += count
-            if circles is not None:
-                unlinks[circles] = canonical
+            by_form[form] = groups.setdefault(reduced.canonical_key(), [link, reduced, 0])
+        by_form[form][2] += count
     # fingerprint sort key -> [(fingerprint, first link, count)] per group
     merged: Dict[Tuple, List[Tuple[Fingerprint, GraphDiagram, int]]] = {}
     for link, reduced, count in groups.values():
@@ -426,4 +384,4 @@ def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
         members.append(
             FamilyMember(diagram=link, fingerprint=fp, multiplicity=sum(p[2] for p in parts))
         )
-    return LinkFamily(source=g, assignments=n, members=tuple(members))
+    return LinkFamily(assignments=n, members=tuple(members))

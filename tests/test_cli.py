@@ -229,7 +229,9 @@ def test_nonplanar_pd_exit_two(command, tmp_path, capsys):
 BAD_OPTION_VALUES = [
     (theta, ["moves", "--seed", "1", "--kinds", "R9"], "'R9'"),
     (theta, ["moves", "--seed", "1", "--kinds", ","], "','"),
+    (theta, ["moves", "--seed", "1", "--kinds", ""], "['']"),
     (theta, ["moves", "--seed", "1", "--count", "-3"], "-3"),
+    (theta, ["moves", "--seed", "1", "--budget", "-3"], "-3"),
     (theta, ["family", "--max-assignments", "-1"], "-1"),
     (trefoil_right, ["floer", "--max-grid", "-1"], "-1"),
     (trefoil_right, ["khovanov", "--max-crossings", "-1"], "-1"),
