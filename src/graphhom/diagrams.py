@@ -39,6 +39,14 @@ def _json_int(value: object, field: str) -> int:
     return value
 
 
+def _arc_key(key: object) -> int:
+    """An orientation key as an arc id; ``int`` alone would read '03',
+    '+3' and ' 3' too, so one document could orient an arc twice."""
+    if not (isinstance(key, str) and key.removeprefix("-").isdecimal() and str(int(key)) == key):
+        raise InvalidDiagram([f"orientation key {key!r} is not an arc id"])
+    return int(key)
+
+
 def union_classes(elements: Iterable[int], pairs: Iterable[Tuple[int, int]]) -> Dict[int, int]:
     """Join the two elements of every pair; map each element to the
     smallest element of its class, whatever order the pairs come in."""
@@ -344,7 +352,7 @@ class GraphDiagram:
             vertices = [tuple(_json_int(a, "vertex arc id") for a in v) for v in data.get("vertices", [])]
             loops = _json_int(data.get("loops", 0), "loops")
             orientations = {
-                int(a): _json_int(s, f"orientation of arc {a}")
+                _arc_key(a): _json_int(s, f"orientation of arc {a}")
                 for a, s in (data.get("orientations") or {}).items()
             }
         except (AttributeError, TypeError, ValueError, OverflowError) as exc:

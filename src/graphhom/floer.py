@@ -249,9 +249,7 @@ def total_homology(d: GraphDiagram, cap: int = FLOER_GRID_CAP) -> Laurent:
 
 def hat_euler(dims: BigradedDims) -> Laurent:
     """Graded Euler characteristic of a hat table, as a polynomial in t."""
-    poly = dims.poincare(UT)
-    half = any(m % 2 for (m, _a) in poly.terms)
-    return euler_substitute(poly, half_shift=half)
+    return euler_substitute(dims.poincare(UT))
 
 
 def skein_euler_target(delta: Laurent, components: int) -> Laurent:

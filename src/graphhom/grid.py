@@ -80,6 +80,9 @@ class GridDiagram:
         missing = [k for k in ("n", "X", "O") if k not in payload]
         if missing:
             raise InvalidDiagram([f"grid payload lacks key {k!r}" for k in missing])
+        unknown = sorted(set(payload) - {"n", "X", "O"})
+        if unknown:
+            raise InvalidDiagram(["unknown keys " + ", ".join(repr(k) for k in unknown)])
         n, xs, os_ = payload["n"], payload["X"], payload["O"]
         if type(n) is not int or not all(
             isinstance(v, list) and all(type(u) is int for u in v) for v in (xs, os_)

@@ -13,6 +13,9 @@ quantum degree j = (#1 - #x) + r + n_plus - 2 n_minus.  Both are stored
 doubled like every other grading in this package, so the table keys are
 (2i, 2j).
 
+``khovanov_homology`` builds the cube over the crossings alone; each
+crossing-free loop then tensors the table with V = q + q^-1.
+
 The graded Euler characteristic recovers the unnormalized Jones
 polynomial under q = -t^(1/2); helpers for both sides of that identity
 live here so tests and the CLI can compare them exactly.
@@ -20,8 +23,7 @@ live here so tests and the CLI can compare them exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
@@ -34,139 +36,102 @@ from .linalg import block_homology
 KHOVANOV_CROSSING_CAP = 14
 
 
-@dataclass(frozen=True)
-class ResolutionCube:
-    """All smoothing states of a link diagram with their circle sets.
-
-    ``circles[s]`` lists the circle ids of state ``s`` in sorted order;
-    crossing-free components of the diagram appear in every state as
-    negative ids.  ``arc_circle[s]`` maps each arc to its circle id (the
-    circle's smallest arc) in state ``s``.  Writhe shifts are captured by
-    ``n_plus``/``n_minus``.
-    """
-
-    diagram: GraphDiagram
-    n_plus: int
-    n_minus: int
-    circles: Tuple[Tuple[int, ...], ...]
-    arc_circle: Tuple[Dict[int, int], ...]
-
-    def edges(self) -> Iterator[Tuple[int, int, int]]:
-        """Yield (state, flipped coordinate, sign) for every cube edge."""
-        c = len(self.diagram.crossings)
-        for s in range(1 << c):
-            for k in range(c):
-                if not s >> k & 1:
-                    low = s & ((1 << k) - 1)
-                    sign = -1 if bin(low).count("1") % 2 else 1
-                    yield s, k, sign
-
-
-def build_cube(d: GraphDiagram, cap: int = KHOVANOV_CROSSING_CAP) -> ResolutionCube:
-    if not d.is_link():
-        raise InvalidDiagram(["resolution cube is defined for link diagrams"])
-    c = len(d.crossings)
-    if c > cap:
-        raise CapExceeded(f"resolution cube over {c} crossings exceeds cap {cap}")
-    n_plus, n_minus = d.positive_negative() if c else (0, 0)
-    free = tuple(-(k + 1) for k in range(d.loops))
-    arc_circle = tuple(smoothing_circles(d))
-    circles = tuple(tuple(sorted(set(m.values()) | set(free))) for m in arc_circle)
-    return ResolutionCube(d, n_plus, n_minus, circles, arc_circle)
-
-
-def _coeff_tag(coeffs: str) -> str:
-    tag = coeffs.lower()
-    if tag not in ("z", "f2"):
-        raise ValueError(f"unknown coefficient ring {coeffs!r}; use 'z' or 'f2'")
-    return tag
-
-
 def khovanov_homology(
     d: GraphDiagram, coeffs: str = "z", cap: int = KHOVANOV_CROSSING_CAP
 ) -> BigradedDims:
     """Bigraded homology of the link diagram; keys are (2i, 2j).
 
     Over Z the table carries free ranks and torsion orders from Smith
-    normal form; over F2 it carries dimensions.  The resolution cube is
-    built without the crossing-free loops (one is kept on a diagram
-    with no crossings), and each removed loop then tensors the table
-    with V = q + q^-1: the complex of L u O is C(L) (x) V, and V is free,
-    so Kunneth adds no Tor term over Z (Khovanov, arXiv:math/9908171).
+    normal form, over F2 dimensions; ``coeffs`` is case-insensitive.  The
+    cube sees only the crossings, and every crossing-free loop then
+    tensors the table with V = q + q^-1: C(L u O) = C(L) (x) V with V
+    free, so Kunneth adds no Tor term over Z (Khovanov, arXiv:math/9908171).
     """
-    extra = d.loops if d.crossings else max(d.loops - 1, 0)
-    core = GraphDiagram(d.crossings, d.vertices, d.loops - extra, d.heads)
-    dims = _cube_homology(core, coeffs, cap)
-    for _ in range(extra):
+    core = GraphDiagram(d.crossings, d.vertices, 0, d.heads)
+    dims = _cube_homology(core, coeffs.lower(), cap)
+    for _ in range(d.loops):
         up = BigradedDims({(i, j + 2): e for (i, j), e in dims.dims.items()})
         dims = up.add(BigradedDims({(i, j - 2): e for (i, j), e in dims.dims.items()}))
     return dims
 
 
 def _cube_homology(d: GraphDiagram, coeffs: str, cap: int) -> BigradedDims:
-    """Homology of the whole resolution cube of ``d``, loops included;
-    ``linalg.block_homology`` checks d∘d = 0 before ranks are extracted."""
-    tag = _coeff_tag(coeffs)
-    cube = build_cube(d, cap)
-    shift = cube.n_plus - 2 * cube.n_minus
+    """Homology of the whole resolution cube of ``d``, loops included as
+    negative circle ids; ``linalg.block_homology`` checks the ring name
+    and d∘d = 0.  In state s, ``arc_circle[s]`` maps each arc to its
+    circle id (the circle's smallest arc); ``circles[s]`` lists the ids."""
+    if not d.is_link():
+        raise InvalidDiagram(["resolution cube is defined for link diagrams"])
+    c = len(d.crossings)
+    if c > cap:
+        raise CapExceeded(f"resolution cube over {c} crossings exceeds cap {cap}")
+    n_plus, n_minus = d.positive_negative()
+    shift = n_plus - 2 * n_minus
+    free = {-(k + 1) for k in range(d.loops)}
+    arc_circle = list(smoothing_circles(d))
+    circles = [sorted(set(m.values()) | free) for m in arc_circle]
 
     # Generators are (state, labeling mask) pairs, with set bits marking x
     # labels on the state's sorted circle list; (s, mask) has index
     # offset[s] + mask and sits in block (r, 2j).
     offset: List[int] = []
     keys: List[Tuple[int, int]] = []
-    for s, circles in enumerate(cube.circles):
+    for s, cids in enumerate(circles):
         offset.append(len(keys))
-        r = bin(s).count("1")
-        k = len(circles)
-        keys.extend(
-            (r, 2 * (k - 2 * bin(mask).count("1") + r + shift)) for mask in range(1 << k)
-        )
+        r, k = bin(s).count("1"), len(cids)
+        keys.extend((r, 2 * (k - 2 * bin(mask).count("1") + r + shift)) for mask in range(1 << k))
 
-    table = block_homology(keys, _cube_edges(cube, offset), lambda k: (k[0] + 1, k[1]), tag)
-    return BigradedDims({(2 * (r - cube.n_minus), j2): e for (r, j2), e in table.items()})
+    edges = _cube_edges(d.crossings, arc_circle, circles, offset)
+    table = block_homology(keys, edges, lambda k: (k[0] + 1, k[1]), coeffs)
+    return BigradedDims({(2 * (r - n_minus), j2): e for (r, j2), e in table.items()})
 
 
-def _cube_edges(cube: ResolutionCube, offset: List[int]) -> Iterator[Tuple[int, int, int]]:
+def _cube_edges(
+    crossings: Sequence[Tuple[int, ...]], arc_circle: List[Dict[int, int]],
+    circles: List[List[int]], offset: List[int],
+) -> Iterator[Tuple[int, int, int]]:
     """Differential entries (source, target, sign) over all cube edges: the
-    Frobenius multiplication on a merge, comultiplication on a split."""
-    positions = [{cid: b for b, cid in enumerate(circles)} for circles in cube.circles]
-    for s, k, sign in cube.edges():
-        t = s | (1 << k)
-        src_pos, tgt_pos = positions[s], positions[t]
-        cr = cube.diagram.crossings[k]
-        srcs = sorted({cube.arc_circle[s][a] for a in cr})
-        tgts = sorted({cube.arc_circle[t][a] for a in cr})
-        spectators = [cid for cid in cube.circles[s] if cid not in srcs]
-        if (len(srcs), len(tgts)) not in ((2, 1), (1, 2)):
-            raise InvalidDiagram(
-                [f"smoothing change at crossing {k} is neither merge nor split"]
-            )
+    Frobenius multiplication on a merge, comultiplication on a split.  The
+    edge from state s that flips crossing k carries the sign
+    (-1)^(number of bits of s below k)."""
+    positions = [{cid: b for b, cid in enumerate(cids)} for cids in circles]
+    for s in range(len(circles)):
+        for k, cr in enumerate(crossings):
+            if s >> k & 1:
+                continue
+            sign = -1 if bin(s & ((1 << k) - 1)).count("1") % 2 else 1
+            t = s | (1 << k)
+            src_pos, tgt_pos = positions[s], positions[t]
+            srcs = sorted({arc_circle[s][a] for a in cr})
+            tgts = sorted({arc_circle[t][a] for a in cr})
+            spectators = [cid for cid in circles[s] if cid not in srcs]
+            if (len(srcs), len(tgts)) not in ((2, 1), (1, 2)):
+                raise InvalidDiagram([f"smoothing change at crossing {k} is neither merge nor split"])
 
-        for mask in range(1 << len(cube.circles[s])):
-            base = 0
-            for cid in spectators:
-                if mask >> src_pos[cid] & 1:
-                    base |= 1 << tgt_pos[cid]
-            outs: List[int] = []
-            if len(srcs) == 2:
-                xu = mask >> src_pos[srcs[0]] & 1
-                xv = mask >> src_pos[srcs[1]] & 1
-                if not (xu and xv):  # x.x multiplies to zero
-                    out = base
-                    if xu or xv:
-                        out |= 1 << tgt_pos[tgts[0]]
-                    outs.append(out)
-            else:
-                xu = mask >> src_pos[srcs[0]] & 1
-                b1, b2 = (1 << tgt_pos[tgts[0]]), (1 << tgt_pos[tgts[1]])
-                if xu:
-                    outs.append(base | b1 | b2)
+            for mask in range(1 << len(circles[s])):
+                base = 0
+                for cid in spectators:
+                    if mask >> src_pos[cid] & 1:
+                        base |= 1 << tgt_pos[cid]
+                outs: List[int] = []
+                if len(srcs) == 2:
+                    xu = mask >> src_pos[srcs[0]] & 1
+                    xv = mask >> src_pos[srcs[1]] & 1
+                    if not (xu and xv):  # x.x multiplies to zero
+                        out = base
+                        if xu or xv:
+                            out |= 1 << tgt_pos[tgts[0]]
+                        outs.append(out)
                 else:
-                    outs.append(base | b1)
-                    outs.append(base | b2)
-            for out in outs:
-                yield offset[s] + mask, offset[t] + out, sign
+                    xu = mask >> src_pos[srcs[0]] & 1
+                    b1, b2 = (1 << tgt_pos[tgts[0]]), (1 << tgt_pos[tgts[1]])
+                    if xu:
+                        outs.append(base | b1 | b2)
+                    else:
+                        outs.append(base | b1)
+                        outs.append(base | b2)
+                for out in outs:
+                    yield offset[s] + mask, offset[t] + out, sign
 
 
 def graded_euler(dims: BigradedDims) -> Laurent:

@@ -213,22 +213,16 @@ def alexander_to_conway(p: Laurent) -> Laurent:
     return Laurent(Z, terms)
 
 
-def euler_substitute(p: Laurent, half_shift: bool = False) -> Laurent:
-    """Collapse the u axis of a bigraded series at u = -1.
-
-    A generator at doubled homological grading m contributes the sign
-    (-1)^ceil(m/2).  For even m this is the usual alternating sum.  Odd
-    doubled gradings (half-integer homological gradings, which occur for
-    links with an even component count) only make sense after a uniform
-    half-step shift; callers must opt in via half_shift, otherwise their
-    presence raises.
-    """
+def euler_substitute(p: Laurent) -> Laurent:
+    """Collapse the u axis of a bigraded series at u = -1: a generator at
+    doubled homological grading m contributes the sign (-1)^ceil(m/2).
+    For even m this is the usual alternating sum; odd m (half-integer
+    gradings, as links with an even component count have) takes the
+    uniform half-step shift that the ceiling gives."""
     if p.vars != UT:
         raise TagMismatch("euler_substitute expects a (u, t) series")
     out: Dict[Monomial, int] = {}
     for (m, a), coeff in p.terms.items():
-        if m % 2 != 0 and not half_shift:
-            raise ValueError("half-integer u-exponent present; pass half_shift=True to fix the convention")
         sign = 1 if (-(-m // 2)) % 2 == 0 else -1  # ceil division on ints
         out[(a,)] = out.get((a,), 0) + sign * coeff
     return Laurent(T, out)

@@ -203,9 +203,12 @@ def block_homology(
     k's matrix.  A cycle builds its first block's matrix a second time
     for the check that closes it.
 
-    Raises ``InvalidDiagram`` when an entry leaves the target block or
-    when d∘d is not zero on some pair of composable blocks.
+    Raises ``ValueError`` for a ring name other than ``"f2"`` or
+    ``"z"``, and ``InvalidDiagram`` when an entry leaves the target
+    block or when d∘d is not zero on some pair of composable blocks.
     """
+    if ring not in ("f2", "z"):
+        raise ValueError(f"unknown coefficient ring {ring!r}; use 'z' or 'f2'")
     f2 = ring == "f2"
     ids: Dict[Hashable, int] = {}
     block = [ids.setdefault(k, len(ids)) for k in keys]

@@ -89,6 +89,9 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
     assert "line 1" in err and "column" in err
 
 
+HOPF = '{"crossings": [[0, 2, 3, 1], [2, 0, 1, 3]]'
+
+
 @pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=lambda c: c[0])
 @pytest.mark.parametrize(
     "text",
@@ -108,6 +111,13 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
         '{"crossings": [[0, 2, 3, true], [2, 4, 5, 3], [4, 0, 1, 5]]}',
         '{"crossings": [[0, 2, 3, "1"], [2, 4, 5, 3], [4, 0, 1, 5]]}',
         '{"crossings": [[0, 2, 3, 1], [2, 4, 5, 3], [4, 0, 1, 5]], "orientations": {"0": 0}}',
+        # the positive Hopf link with orientation keys that int() would
+        # have read as arcs, so that an arc could be oriented twice
+        HOPF + ', "orientations": {"00": 1, "0": -1, "03": -1, "3": 1}}',
+        HOPF + ', "orientations": {"0": -1, "00": 1, "3": 1, "03": -1}}',
+        HOPF + ', "orientations": {"+3": 1}}',
+        HOPF + ', "orientations": {" 2": 1}}',
+        HOPF + ', "orientations": {"0_2": 1}}',
     ],
     ids=[
         "list",
@@ -124,6 +134,11 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
         "bool_arc",
         "string_arc",
         "zero_orientation",
+        "padded_key_last",
+        "padded_key_first",
+        "signed_key",
+        "spaced_key",
+        "underscored_key",
     ],
 )
 def test_non_diagram_document_exit_two(command, text, tmp_path, capsys):
@@ -200,6 +215,34 @@ def test_grid_document_is_not_a_diagram(command, tmp_path, capsys):
     assert code == 2
     assert "unknown keys" in err
     assert "Traceback" not in err
+
+
+def test_orientation_key_is_named(tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_text(HOPF + ', "orientations": {"00": 1, "0": -1, "03": -1, "3": 1}}')
+    code = main(["invariants", str(p)])
+    assert code == 2
+    assert "invalid diagram: orientation key '00' is not an arc id" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text,unknown",
+    [
+        # the 2x2 unknot grid with the Hopf link's crossings beside it
+        ('{"n": 2, "X": [1, 0], "O": [0, 1], "crossings": [[0, 2, 3, 1], [2, 0, 1, 3]], "loops": 0}',
+         "'crossings', 'loops'"),
+        ('{"n": 2, "X": [1, 0], "O": [0, 1], "comment": "x"}', "'comment'"),
+    ],
+    ids=["diagram_keys", "comment"],
+)
+def test_grid_document_with_other_keys_exit_two(text, unknown, tmp_path, capsys):
+    p = tmp_path / "grid.json"
+    p.write_text(text)
+    code = main(["floer", str(p)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert f"invalid grid: unknown keys {unknown}" in err
+    assert out == "" and "Traceback" not in err
 
 
 def test_grid_document_with_boolean_columns_exit_two(tmp_path, capsys):

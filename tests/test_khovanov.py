@@ -1,6 +1,9 @@
 """Khovanov homology: frozen small-link tables, cube structure, graded
 Euler identity, and move invariance."""
 
+import hashlib
+import json
+
 import pytest
 
 from graphhom import linalg
@@ -21,11 +24,11 @@ from graphhom.catalog import (
 from graphhom.diagrams import GraphDiagram
 from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.graph_homology import SKIP_CROSSINGS, graph_homology
-from graphhom.invariants import reduce_diagram
+from graphhom.invariants import reduce_diagram, smoothing_circles
 from graphhom.khovanov import (
     KHOVANOV_CROSSING_CAP,
+    _cube_edges,
     _cube_homology,
-    build_cube,
     graded_euler,
     khovanov_homology,
     unnormalized_jones,
@@ -135,19 +138,102 @@ def test_loops_factor_out_of_the_cube(name, coeffs):
     assert khovanov_homology(d, coeffs) == _cube_homology(d, coeffs, KHOVANOV_CROSSING_CAP)
 
 
+# sha256 of ``khovanov_homology(d, ring).to_json()`` dumped with sorted
+# keys, recorded before the resolution cube became local to
+# ``_cube_homology``: the benchmark's Khovanov braids (unrotated), the
+# census links, the trefoil with 3 loops and the 3-component unlink.
+KHOVANOV_BRAIDS = {
+    "T(2,5)": ([1] * 5, 2),
+    "T(2,7)": ([1] * 7, 2),
+    "T(3,4)": ([1, 2] * 4, 3),
+    "(s1 s2^-1)^4": ([1, -2] * 4, 3),
+    "s1^3 s2^-1 s1 s2^-3": ([1, 1, 1, -2, 1, -2, -2, -2], 3),
+}
+PINNED = {
+    **{name: (lambda w=w, n=n: braid_closure(w, n)) for name, (w, n) in KHOVANOV_BRAIDS.items()},
+    **CENSUS_LINKS,
+    "trefoil+3": lambda: LOOPED["trefoil+3"],
+    "unlink3": lambda: unlink(3),
+}
+KHOVANOV_DIGESTS = {
+    ("T(2,5)", "z"): "d2c0ccf4b932b684d1c9fe0adaf5c1a7ef2fddb6e5867a58e29633679471fa62",
+    ("T(2,5)", "f2"): "361c348408cc60a0bf337da423f43e581e77d74b89d3d044182660d7955020e8",
+    ("T(2,7)", "z"): "d4cf46c3622ba499495942966f8ba69abf2f19086045837c636e8f879874d5dc",
+    ("T(2,7)", "f2"): "d276b8d0a4b620d49901e04b555fc777218d0bac8e9f71c140640214e7d7935a",
+    ("T(3,4)", "z"): "2f3fe5b79546cdf0cfa96944900f1a15a540112bf091961f0f512fdbf42a2e6c",
+    ("T(3,4)", "f2"): "f3b29863213156ef50a1475506b0ed187d8c92f5f99029f84d82ad9f47bcc18c",
+    ("(s1 s2^-1)^4", "z"): "b21c13842b28e3e85a2b4e3564e40adfaeb14935ddb64351877bc67879f3fd28",
+    ("(s1 s2^-1)^4", "f2"): "f95beeb5bc9ebe0f556ab5ca4b3cdc6b8d71307d57b200b381c59cc7c0e10ccb",
+    ("s1^3 s2^-1 s1 s2^-3", "z"): "77452957185354b2a53d5cd125ed794d3e7593cee6afcf213e9436ca7da00406",
+    ("s1^3 s2^-1 s1 s2^-3", "f2"): "3940b619f99d561e759f943fadf4a7f55818ac587aeab23520be45cfb0516629",
+    ("unknot", "z"): "bb067ce94848e03782871a7409ba7afc9c168f6944bad6d20f4715baf7d7f268",
+    ("unknot", "f2"): "bb067ce94848e03782871a7409ba7afc9c168f6944bad6d20f4715baf7d7f268",
+    ("hopf_positive", "z"): "7c92eac5cf1067e9851c9d668965ccb2f3a32508a68fd5fcebc890e752465817",
+    ("hopf_positive", "f2"): "7c92eac5cf1067e9851c9d668965ccb2f3a32508a68fd5fcebc890e752465817",
+    ("hopf_negative", "z"): "bd601186f041ceac800af839a481b4b408e59de23336dcef0ccd4249209da496",
+    ("hopf_negative", "f2"): "bd601186f041ceac800af839a481b4b408e59de23336dcef0ccd4249209da496",
+    ("trefoil_right", "z"): "00a0976970868367968984081f5533be9ef2778851c9acae96d79758f972b36d",
+    ("trefoil_right", "f2"): "d5d4790570a34e47c15a1485e4c1b0bab0caaaf94a115426e6f0a704b0aed115",
+    ("trefoil_left", "z"): "235a45d41e88606ab528a2efc4c0fe6e711b25c6fe8b3179e227b5689fb0a260",
+    ("trefoil_left", "f2"): "62957b5de24387dd401163a921b9ff5133774a37a5ac06405df0593636920d72",
+    ("figure_eight", "z"): "3d7d415776cce63b6b710c9e32aa840abbd62b9b1f2b2738c059b82ad055cc9f",
+    ("figure_eight", "f2"): "ab27bd9193a2f35b4aebfb473439eb20f8431300d288937f23f725e657829861",
+    ("unlink2", "z"): "078b8be52f27722ac89bb243ccfabbf4b8dfef32879e017e680a3a5e9dc2384b",
+    ("unlink2", "f2"): "078b8be52f27722ac89bb243ccfabbf4b8dfef32879e017e680a3a5e9dc2384b",
+    ("trefoil+3", "z"): "ddf1d69a96afeb331276fce83feb8fbef5fa89fbe8e19df2a133b9fd644c15fc",
+    ("trefoil+3", "f2"): "a00f4f94bd8ecbe47f3ad07e1be2f6cf2ce21488ada39f177e64470f9d4ae778",
+    ("unlink3", "z"): "f34d9b92867499eb31caa329e855b94b7dc6567448f612ab7ead60eedd9418f7",
+    ("unlink3", "f2"): "f34d9b92867499eb31caa329e855b94b7dc6567448f612ab7ead60eedd9418f7",
+}
+
+
+@pytest.mark.parametrize(
+    "name,ring", sorted(KHOVANOV_DIGESTS), ids=[f"{n}-{r}" for n, r in sorted(KHOVANOV_DIGESTS)]
+)
+def test_khovanov_output_is_pinned(name, ring):
+    text = json.dumps(khovanov_homology(PINNED[name](), ring).to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == KHOVANOV_DIGESTS[(name, ring)]
+
+
+def test_coefficient_ring_name_is_case_insensitive():
+    d = trefoil_right()
+    assert khovanov_homology(d, "Z") == khovanov_homology(d, "z")
+    assert khovanov_homology(d, "F2") == khovanov_homology(d, "f2")
+    with pytest.raises(ValueError, match="unknown coefficient ring"):
+        khovanov_homology(d, "q")
+
+
 # -- cube structure -----------------------------------------------------------
 
 def test_hopf_cube_circle_counts():
-    cube = build_cube(hopf_positive())
-    assert [len(cube.circles[s]) for s in range(4)] == [2, 1, 1, 2]
-    assert (cube.n_plus, cube.n_minus) == (2, 0)
+    d = hopf_positive()
+    assert [len(set(m.values())) for m in smoothing_circles(d)] == [2, 1, 1, 2]
+    assert d.positive_negative() == (2, 0)
+
+
+def cube_edge_signs(d):
+    """(state, flipped crossing) -> sign, read off ``_cube_edges``' entries
+    of the loop-free diagram ``d``; every entry of one edge has its sign."""
+    arc_circle = list(smoothing_circles(d))
+    circles = [sorted(set(m.values())) for m in arc_circle]
+    offset, state = [], []
+    for s, cids in enumerate(circles):
+        offset.append(len(state))
+        state += [s] * (1 << len(cids))
+    sign = {}
+    for i, j, g in _cube_edges(d.crossings, arc_circle, circles, offset):
+        s, t = state[i], state[j]
+        flipped = t ^ s
+        assert t & s == s and flipped & (flipped - 1) == 0, (s, t)
+        assert sign.setdefault((s, flipped.bit_length() - 1), g) == g
+    return sign
 
 
 def test_cube_edge_signs_anticommute():
-    cube = build_cube(trefoil_right())
+    d = trefoil_right()
     # Around every 2-face the four edge signs multiply to -1.
-    sign = {(s, k): g for s, k, g in cube.edges()}
-    n = len(cube.diagram.crossings)
+    sign = cube_edge_signs(d)
+    n = len(d.crossings)
     for s in range(1 << n):
         for a in range(n):
             for b in range(a + 1, n):
@@ -163,11 +249,9 @@ def test_cube_edge_signs_anticommute():
 
 
 def test_cube_cap():
-    from graphhom.catalog import braid_closure
-
     d = braid_closure([1, -1] * 4, 2)
     with pytest.raises(CapExceeded):
-        build_cube(d, cap=7)
+        khovanov_homology(d, cap=7)
 
 
 def test_vertex_diagram_rejected():

@@ -244,6 +244,13 @@ def test_z_torsion_lands_in_target_block():
     assert block_homology([0, 1], [(0, 1, 1), (0, 1, 1)], _up, "z") == {1: (0, (2,))}
 
 
+@pytest.mark.parametrize("ring", ["Z", "q", "F2", ""])
+def test_unknown_ring_rejected(ring):
+    # Ring names are exact: any other name computed over Z before.
+    with pytest.raises(ValueError, match="unknown coefficient ring"):
+        block_homology([0, 1], [(0, 1, 2)], _up, ring)
+
+
 @pytest.mark.parametrize("ring", ["f2", "z"])
 def test_nonzero_square_raises(ring):
     # a -> b -> c with both maps 1, so d(d(a)) = c.
