@@ -134,12 +134,16 @@ _TOTAL_SPLIT_FACTOR = _expected_total(2)
 
 
 def floer_fields(
-    pieces: Sequence[GridDiagram], diagram: GraphDiagram, cap: int = FLOER_GRID_CAP
+    pieces: Sequence[GridDiagram],
+    diagram: GraphDiagram,
+    cap: int = FLOER_GRID_CAP,
+    delta: Optional[Laurent] = None,
 ) -> dict:
     """Hat and total homology of the link ``diagram``, whose split pieces
     ``pieces`` present as simplified grids, each checked against what the
     whole link predicts: the hat Euler characteristic against the skein
-    polynomial of ``diagram``, the total homology against
+    polynomial of ``diagram`` (``delta``, its Alexander polynomial, if
+    the caller has it), the total homology against
     (u^1/2 + u^-1/2)^(l-1).
 
     Each piece is computed on its own grid and the pieces are tensored,
@@ -160,7 +164,7 @@ def floer_fields(
     components = sum(g.component_count() for g in pieces)
     fields["floer"] = hat
     fields["floer_euler"] = hat_euler(hat)
-    fields["floer_check"] = euler_matches_skein(hat, diagram)
+    fields["floer_check"] = euler_matches_skein(hat, diagram, delta)
     fields["total_poincare"] = total
     fields["total_check"] = "pass" if total == _expected_total(components) else "fail"
     return fields
@@ -188,13 +192,15 @@ def _member_fields(
     coeffs: str = "z",
     grid_cap: int = FLOER_GRID_CAP,
     crossing_cap: int = KHOVANOV_CROSSING_CAP,
+    delta: Optional[Laurent] = None,
 ) -> dict:
     """The ``MemberReport`` fields of one link diagram: the one per-link
-    path that census link entries and every family member go through."""
+    path that census link entries and every family member go through.
+    ``delta`` is the diagram's Alexander polynomial, if already known."""
     fields: dict = {}
     if floer:
         pieces = [simplify_grid(g) for g in piece_grids(diagram)]
-        fields.update(floer_fields(pieces, diagram, grid_cap))
+        fields.update(floer_fields(pieces, diagram, grid_cap, delta))
     if khovanov:
         fields.update(khovanov_fields(diagram, coeffs, crossing_cap))
     return fields
@@ -223,13 +229,15 @@ def graph_homology(
     khov_states: List[str] = []
 
     for fm in fam.members:
-        fields = _member_fields(fm.diagram, floer, khovanov, coeffs, grid_cap, crossing_cap)
+        delta = alexander(fm.diagram) if floer else None
+        fields = _member_fields(
+            fm.diagram, floer, khovanov, coeffs, grid_cap, crossing_cap, delta
+        )
         weight = _weight(fm.multiplicity, multiset)
         if floer:
             if "floer" in fields:
                 agg_f = agg_f.add(_weighted(fields["floer"], weight))
                 agg_f_euler = agg_f_euler + fields["floer_euler"].scale(weight)
-                delta = alexander(fm.diagram)
                 agg_target += skein_euler_target(delta, fm.fingerprint.components).scale(weight)
                 agg_alex = agg_alex + delta.scale(weight)
                 floer_states.append(fields["floer_check"]["verdict"])

@@ -22,7 +22,7 @@ from graphhom.catalog import (
 )
 from graphhom.diagrams import GraphDiagram, connected_sum, disjoint_union
 from graphhom import floer, linalg
-from graphhom.errors import CapExceeded, InvalidDiagram
+from graphhom.errors import CapExceeded, DeconvolutionError, InvalidDiagram
 from graphhom.floer import (
     euler_matches_skein,
     hat_euler,
@@ -40,7 +40,7 @@ from graphhom.grid import (
     pd_to_grid,
     simplify_grid,
 )
-from graphhom.laurent import Laurent, T, U
+from graphhom.laurent import Laurent, T, U, UT, exact_divide
 from test_grid import mirror_grid, reverse_grid, stabilize
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
@@ -209,6 +209,91 @@ def test_complex_edges_match_reference(g, block_x):
     assert mod2_edges(edges) == reference_edges(g, block_x)
 
 
+# -- slow-path hat -------------------------------------------------------------
+# The hat as first computed: homology of the whole tilde complex, with the
+# stabilization factor V^(n - l) divided out.  ``hat_from_grid`` reads
+# the hat off the a2 >= 0 summand only and must agree with it.
+
+_V_HAT = Laurent(UT, {(0, 0): 1, (-2, -2): 1})
+
+
+def full_hat(g):
+    tilde = tilde_homology(g).poincare(UT)
+    power = g.n - g.component_count()
+    quotient = exact_divide(tilde, _V_HAT ** power, require_nonnegative=True)
+    return BigradedDims.of_ranks(dict(quotient.terms))
+
+
+# The links of the benchmark's floer-links workload that fit under the
+# grid cap: figure-eight, T(2,5), T(3,4), s1^3 s2 s1^-1 s2 and the
+# Borromean rings (n = 8).
+FLOER_LINK_BRAIDS = [
+    ("figure-eight", [1, -2, 1, -2], 3),
+    ("T(2,5)", [1] * 5, 2),
+    ("T(3,4)", [1, 2] * 4, 3),
+    ("s1^3 s2 s1^-1 s2", [1, 1, 1, 2, -1, 2], 3),
+    ("borromean", [1, -2] * 3, 3),
+]
+
+
+def _hat_oracle_grids():
+    grids = [(p.id, p.values[0]) for p in ORACLE_GRIDS]
+    grids += [
+        (name, simplify_grid(pd_to_grid(braid_closure(word, strands))))
+        for name, word, strands in FLOER_LINK_BRAIDS
+    ]
+    rng = random.Random(53)
+    grids += [(f"random{n}-{k}", random_grid(rng, n)) for n in range(2, 9) for k in range(2)]
+    grids += [(f"{name}-mirror", mirror_grid(g)) for name, g in grids]
+    return [pytest.param(g, id=name) for name, g in grids]
+
+
+@pytest.mark.parametrize("g", _hat_oracle_grids())
+def test_hat_matches_the_full_tilde_complex(g):
+    assert hat_from_grid(g) == full_hat(g)
+
+
+@pytest.mark.parametrize("g", ORACLE_GRIDS)
+def test_full_hat_is_symmetric(g):
+    # The premise of the reflection in ``hat_from_grid``:
+    # (m2, a2) and (m2 - 2 a2, -a2) have equal rank.
+    ranks = full_hat(g).ranks()
+    assert ranks == {(m2 - 2 * a2, -a2): r for (m2, a2), r in ranks.items()}
+
+
+@pytest.mark.parametrize("g", ORACLE_GRIDS)
+def test_top_half_walk_lists_the_a2_slice(g):
+    gens = list(permutations(range(g.n)))
+    want = [x for x in gens if gradings(g, x)[1] >= 0]
+    codes, grads = floer._generators(g, top_half=True)
+    xs = floer._decode(g.n, codes)
+    assert xs == want
+    assert grads == [gradings(g, x) for x in want]
+    # Its rectangles are the full complex's edges out of the slice, and
+    # none leaves it.
+    index = {x: i for i, x in enumerate(gens)}
+    _grads, edges = floer._complex(g, block_x=True, top_half=True)
+    got = {(index[xs[i]], index[xs[j]]) for i, j in mod2_edges(edges)}
+    sliced = {index[x] for x in want}
+    assert got == {(i, j) for i, j in reference_edges(g, True) if i in sliced}
+
+
+@pytest.mark.parametrize("diagram", [trefoil_right(), figure_eight(), hopf_positive()])
+def test_hat_is_unchanged_by_stabilization_past_the_cap(diagram):
+    g = simplify_grid(pd_to_grid(diagram))
+    want = hat_from_grid(g)
+    rng = random.Random(g.n)
+    stab = g
+    while stab.n < 10:
+        stab = stabilize(
+            stab, rng.randrange(stab.n), down=rng.random() < 0.5, right=rng.random() < 0.5
+        )
+        if stab.n >= 9:
+            assert hat_from_grid(stab, cap=10) == want
+            with pytest.raises(CapExceeded):
+                hat_from_grid(stab)
+
+
 def test_two_by_two_gradings_multiset():
     got = sorted(gradings(UNKNOT_GRID, x) for x in [(0, 1), (1, 0)])
     assert got == [(-2, -2), (0, 0)]
@@ -343,3 +428,20 @@ def test_d2_check_failure_raises_invalid_diagram(monkeypatch):
         tilde_homology(g)
     with pytest.raises(InvalidDiagram, match="square to zero"):
         total_homology_from_grid(g)
+    # The trefoil's a2 >= 0 summand has no composable blocks; T(2,5)'s
+    # (n = 7) has.
+    t25 = simplify_grid(pd_to_grid(braid_closure([1] * 5, 2)))
+    with pytest.raises(InvalidDiagram, match="square to zero"):
+        hat_from_grid(t25)
+
+
+def test_inconsistent_slice_table_raises_deconvolution_error(monkeypatch):
+    # The trefoil grid has n - l = 4 stabilization factors, so one class
+    # at (4, 2) accounts for 4 classes at (2, 0); a table with only one
+    # there leaves a hat rank of -3.
+    g = simplify_grid(pd_to_grid(trefoil_right()))
+    assert g.n - g.component_count() == 4
+    table = {(4, 2): (1, ()), (2, 0): (1, ())}
+    monkeypatch.setattr(floer, "block_homology", lambda *args: table)
+    with pytest.raises(DeconvolutionError):
+        hat_from_grid(g)

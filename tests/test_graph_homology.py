@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from graphhom import floer
+from graphhom import graph_homology as gh
 from graphhom.bigraded import BigradedDims
 from graphhom.catalog import handcuff, hopf_handcuff, theta, trefoil_right
 from graphhom.diagrams import GraphDiagram, connected_sum
@@ -131,6 +133,19 @@ def test_g6_floer_is_complete():
     assert all(m.floer is not None and m.floer_skip is None for m in report.members)
     assert max(m.fingerprint.components for m in report.members) == 5
     assert max(m.grid_size for m in report.members) == 10
+    assert report.verdicts == {"floer_euler": "pass"}
+
+
+def test_g6_computes_each_members_alexander_once(monkeypatch):
+    # The Euler check reuses the polynomial the aggregates need, so
+    # neither module computes it a second time.
+    calls = []
+    for mod in (gh, floer):
+        wrapped = mod.alexander
+        monkeypatch.setattr(mod, "alexander", lambda d, f=wrapped: calls.append(d) or f(d))
+    report = graph_homology(g6(), khovanov=False)
+    assert len(report.members) == 8
+    assert len(calls) == 8
     assert report.verdicts == {"floer_euler": "pass"}
 
 
