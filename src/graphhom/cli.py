@@ -161,16 +161,16 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    d = _require_link(_load_diagram(args.path), args.path)
-    fp = fingerprint(d)
+    reduced = reduce_diagram(_require_link(_load_diagram(args.path), args.path))
+    fp = fingerprint(reduced)
     _emit(
         {
             "components": fp.components,
             "jones": fp.jones.to_json(),
             "alexander": fp.alexander.to_json(),
-            "conway": conway(d).to_json(),
-            "determinant": determinant(d),
-            "reduced_crossings": len(reduce_diagram(d).crossings),
+            "conway": conway(reduced).to_json(),
+            "determinant": determinant(reduced),
+            "reduced_crossings": len(reduced.crossings),
         }
     )
     return 0
@@ -301,7 +301,7 @@ def _census_report(doc: dict) -> dict:
     """Deterministic per-entry report; golden files hold its serialization."""
     d = GraphDiagram.from_json(doc)
     if d.is_link():
-        out = MemberReport(fingerprint(d), 1, **_member_fields(d)).to_json()
+        out = MemberReport(fingerprint(reduce_diagram(d)), 1, **_member_fields(d)).to_json()
         for key in _CENSUS_LINK_OMITS:
             out.pop(key, None)
         out["kind"] = "link"

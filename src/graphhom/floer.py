@@ -62,7 +62,8 @@ from .invariants import alexander
 from .laurent import Laurent, T, U, UT, euler_substitute, exact_divide
 from .linalg import block_homology
 
-# Largest grid size whose n! generators are enumerated.
+# Largest grid size whose complexes are built; the total complex and
+# ``tilde_homology`` enumerate all n! generators, the hat only A >= 0.
 FLOER_GRID_CAP = 8
 
 # Rank-two factor split off per stabilization level of the total
@@ -282,7 +283,8 @@ def hat_from_grid(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
     from the top.  The rest follows from the symmetry of the hat
     homology, (m2, a2) <-> (m2 - 2 a2, -a2) in doubled gradings.
     """
-    _require_cap(g.n, cap)
+    if g.n > cap:
+        raise CapExceeded(f"grid size {g.n} is over the cap {cap}", detail={"n": g.n})
     grads, edges = _complex(g, block_x=True, top_half=True)
     table = block_homology(grads, edges, lambda k: (k[0] - 2, k[1]), "f2")
     top = _deconvolve_top({k: r for k, (r, _t) in table.items()}, g.n - g.component_count())

@@ -11,7 +11,8 @@ Euler verdict from pass/fail to partial.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import reduce
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
@@ -27,7 +28,7 @@ from .grid import GridDiagram, piece_grids, simplify_grid
 from .invariants import Fingerprint, alexander, reduce_diagram
 from .kauffman import family
 from .khovanov import KHOVANOV_CROSSING_CAP, graded_euler, khovanov_homology, unnormalized_jones
-from .laurent import Laurent, Q, T, U
+from .laurent import Laurent, T, U
 
 SKIP_GRID = "floer: skipped (grid too large)"
 SKIP_CROSSINGS = "khovanov: skipped (too many crossings)"
@@ -51,6 +52,9 @@ class MemberReport:
     khovanov_skip: Optional[str] = None
     khovanov_euler: Optional[Laurent] = None
     jones_check: Optional[str] = None
+    # The Alexander polynomial of a Floer-computed member, which the
+    # aggregates sum; not part of the JSON report.
+    alexander: Optional[Laurent] = None
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -112,10 +116,6 @@ class GraphHomologyReport:
         return doc
 
 
-def _weight(member_multiplicity: int, multiset: bool) -> int:
-    return member_multiplicity if multiset else 1
-
-
 def _weighted(dims: BigradedDims, weight: int) -> BigradedDims:
     """The direct sum of ``weight`` copies of ``dims``."""
     return BigradedDims({k: (r * weight, t * weight) for k, (r, t) in dims.dims.items()})
@@ -133,24 +133,19 @@ _HAT_SPLIT_FACTOR = BigradedDims.of_ranks({(1, 0): 1, (-1, 0): 1})
 _TOTAL_SPLIT_FACTOR = _expected_total(2)
 
 
-def floer_fields(
-    pieces: Sequence[GridDiagram],
-    diagram: GraphDiagram,
-    cap: int = FLOER_GRID_CAP,
-    delta: Optional[Laurent] = None,
-) -> dict:
+def floer_fields(pieces: Sequence[GridDiagram], diagram: GraphDiagram, cap: int = FLOER_GRID_CAP) -> dict:
     """Hat and total homology of the link ``diagram``, whose split pieces
     ``pieces`` present as simplified grids, each checked against what the
     whole link predicts: the hat Euler characteristic against the skein
-    polynomial of ``diagram`` (``delta``, its Alexander polynomial, if
-    the caller has it), the total homology against
-    (u^1/2 + u^-1/2)^(l-1).
+    polynomial of the Alexander polynomial of ``diagram``, which is kept
+    as ``alexander``, the total homology against (u^1/2 + u^-1/2)^(l-1).
 
     Each piece is computed on its own grid and the pieces are tensored,
-    with one rank-two factor per piece past the first.  A piece's n!
-    generators set the cost, so ``cap`` bounds the largest piece: when a
-    piece is over it, the link gets a skip reason.  ``grid_size`` is the
-    sum of the piece sizes, the size of the stacked grid.
+    with one rank-two factor per piece past the first.  ``cap`` bounds the
+    largest piece, since the total complex of a piece has n! generators:
+    when a piece is over it, the link gets a skip reason and no
+    Alexander polynomial.  ``grid_size`` is the sum of the piece sizes,
+    the size of the stacked grid.
     """
     fields: dict = {"grid_size": sum(g.n for g in pieces)}
     if max(g.n for g in pieces) > cap:
@@ -162,9 +157,11 @@ def floer_fields(
         hat = hat.tensor_ranks(hat_from_grid(g, cap)).tensor_ranks(_HAT_SPLIT_FACTOR)
         total = total * total_homology_from_grid(g, cap) * _TOTAL_SPLIT_FACTOR
     components = sum(g.component_count() for g in pieces)
+    delta = alexander(diagram)
     fields["floer"] = hat
     fields["floer_euler"] = hat_euler(hat)
     fields["floer_check"] = euler_matches_skein(hat, diagram, delta)
+    fields["alexander"] = delta
     fields["total_poincare"] = total
     fields["total_check"] = "pass" if total == _expected_total(components) else "fail"
     return fields
@@ -192,15 +189,13 @@ def _member_fields(
     coeffs: str = "z",
     grid_cap: int = FLOER_GRID_CAP,
     crossing_cap: int = KHOVANOV_CROSSING_CAP,
-    delta: Optional[Laurent] = None,
 ) -> dict:
     """The ``MemberReport`` fields of one link diagram: the one per-link
-    path that census link entries and every family member go through.
-    ``delta`` is the diagram's Alexander polynomial, if already known."""
+    path that census link entries and every family member go through."""
     fields: dict = {}
     if floer:
         pieces = [simplify_grid(g) for g in piece_grids(diagram)]
-        fields.update(floer_fields(pieces, diagram, grid_cap, delta))
+        fields.update(floer_fields(pieces, diagram, grid_cap))
     if khovanov:
         fields.update(khovanov_fields(diagram, coeffs, crossing_cap))
     return fields
@@ -215,74 +210,62 @@ def graph_homology(
     crossing_cap: int = KHOVANOV_CROSSING_CAP,
     multiset: bool = False,
 ) -> GraphHomologyReport:
-    """Direct-sum homology report over the graph's link family."""
+    """Direct-sum homology report over the graph's link family.
+
+    Everything past the member reports is read off them: each aggregate
+    table sums the members whose table was computed, weighted by
+    multiplicity under ``multiset``; the aggregate Euler polynomials are
+    those of the aggregate tables; a skipped member turns its flavor's
+    verdict from pass to partial."""
     fam = family(g)
-
-    members: List[MemberReport] = []
-    agg_f = BigradedDims({})
-    agg_f_euler = Laurent.zero(T)
-    agg_target = Laurent.zero(T)
-    agg_alex = Laurent.zero(T)
-    agg_k = BigradedDims({})
-    agg_k_euler = Laurent.zero(Q)
-    floer_states: List[str] = []
-    khov_states: List[str] = []
-
-    for fm in fam.members:
-        delta = alexander(fm.diagram) if floer else None
-        fields = _member_fields(
-            fm.diagram, floer, khovanov, coeffs, grid_cap, crossing_cap, delta
+    members = tuple(
+        MemberReport(
+            fingerprint=fm.fingerprint,
+            multiplicity=fm.multiplicity,
+            **_member_fields(fm.diagram, floer, khovanov, coeffs, grid_cap, crossing_cap),
         )
-        weight = _weight(fm.multiplicity, multiset)
-        if floer:
-            if "floer" in fields:
-                agg_f = agg_f.add(_weighted(fields["floer"], weight))
-                agg_f_euler = agg_f_euler + fields["floer_euler"].scale(weight)
-                agg_target += skein_euler_target(delta, fm.fingerprint.components).scale(weight)
-                agg_alex = agg_alex + delta.scale(weight)
-                floer_states.append(fields["floer_check"]["verdict"])
-                if fields["total_check"] == "fail":
-                    floer_states.append("fail")
-            else:
-                floer_states.append("skipped")
-        if khovanov:
-            if "khovanov" in fields:
-                agg_k = agg_k.add(_weighted(fields["khovanov"], weight))
-                agg_k_euler = agg_k_euler + fields["khovanov_euler"].scale(weight)
-                khov_states.append(fields["jones_check"])
-            else:
-                khov_states.append("skipped")
-        members.append(
-            MemberReport(
-                fingerprint=fm.fingerprint, multiplicity=fm.multiplicity, **fields
-            )
-        )
-
+        for fm in fam.members
+    )
+    weighted = [(m, m.multiplicity if multiset else 1) for m in members]
+    aggregates: dict = {}
     verdicts: Dict[str, str] = {}
     if floer:
-        verdicts["floer_euler"] = _verdict(floer_states)
+        done = [(m, w) for m, w in weighted if m.floer is not None]
+        table = _direct_sum(_weighted(m.floer, w) for m, w in done)
+        aggregates["aggregate_floer"] = table
+        aggregates["aggregate_floer_euler"] = hat_euler(table)
+        aggregates["aggregate_skein_target"] = sum(
+            (skein_euler_target(m.alexander, m.fingerprint.components).scale(w) for m, w in done),
+            Laurent.zero(T),
+        )
+        aggregates["aggregate_alexander_sum"] = sum((m.alexander.scale(w) for m, w in done), Laurent.zero(T))
+        verdicts["floer_euler"] = _verdict(
+            None if m.floer is None else "fail" if m.total_check == "fail" else m.floer_check["verdict"]
+            for m in members
+        )
     if khovanov:
-        verdicts["khovanov_euler"] = _verdict(khov_states)
-
+        table = _direct_sum(_weighted(m.khovanov, w) for m, w in weighted if m.khovanov is not None)
+        aggregates["aggregate_khovanov"] = table
+        aggregates["aggregate_khovanov_euler"] = graded_euler(table)
+        verdicts["khovanov_euler"] = _verdict(m.jones_check for m in members)
     return GraphHomologyReport(
         assignments=fam.assignments,
-        members=tuple(members),
+        members=members,
         multiset=multiset,
-        empty_family=not fam.members,
-        aggregate_floer=agg_f if floer else None,
-        aggregate_floer_euler=agg_f_euler if floer else None,
-        aggregate_skein_target=agg_target if floer else None,
-        aggregate_alexander_sum=agg_alex if floer else None,
-        aggregate_khovanov=agg_k if khovanov else None,
-        aggregate_khovanov_euler=agg_k_euler if khovanov else None,
+        empty_family=not members,
         verdicts=verdicts,
+        **aggregates,
     )
 
 
-def _verdict(states: List[str]) -> str:
-    if any(s == "fail" for s in states):
-        return "fail"
-    if any(s == "skipped" for s in states):
-        return "partial"
-    return "pass"
+def _direct_sum(tables: Iterable[BigradedDims]) -> BigradedDims:
+    return reduce(BigradedDims.add, tables, BigradedDims({}))
 
+
+def _verdict(checks: Iterable[Optional[str]]) -> str:
+    """One flavor's verdict from its members' checks, None for a
+    skipped member."""
+    checks = list(checks)
+    if "fail" in checks:
+        return "fail"
+    return "partial" if None in checks else "pass"

@@ -405,9 +405,12 @@ def _mask_writhes(d: GraphDiagram, labels: Dict[int, int], flippable: List[int])
     ]
 
 
-def fingerprint(d: GraphDiagram) -> Fingerprint:
-    """Fingerprint of the reduced diagram, reoriented to minimize the
-    (Jones, Alexander) sort keys.  Global reversal fixes both polynomials,
+def fingerprint(reduced: GraphDiagram) -> Fingerprint:
+    """Fingerprint of a link, reoriented to minimize the (Jones,
+    Alexander) sort keys.  It is an isotopy invariant, so any diagram
+    of the link gives the same value, but the bracket's cost and cap
+    follow the crossings: callers pass a diagram that ``reduce_diagram``
+    has already reduced.  Global reversal fixes both polynomials,
     so one component stays pinned; the result does not depend on how an
     unoriented link happened to be oriented on arrival.
 
@@ -421,7 +424,6 @@ def fingerprint(d: GraphDiagram) -> Fingerprint:
     with that mask's arcs flipped, so no reoriented diagram is built;
     and one serves all masks when the diagram has no crossings or is
     split, where Alexander does not depend on orientation."""
-    reduced = reduce_diagram(d)
     ncomp, labels = reduced.split_components()
     flippable = sorted(set(labels.values()))[1:]
     if len(flippable) > ORIENTATION_FLIP_CAP:

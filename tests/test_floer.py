@@ -416,6 +416,15 @@ def test_grid_cap_reports_generator_count():
     assert exc.value.detail["generators"] == 362880
 
 
+def test_hat_cap_reports_size_not_generator_count():
+    # The hat walks only the A >= 0 summand, so n! overstates its cost.
+    big = GridDiagram(9, tuple((r + 1) % 9 for r in range(9)), tuple(range(9)))
+    with pytest.raises(CapExceeded) as exc:
+        hat_from_grid(big, cap=8)
+    assert exc.value.detail == {"n": 9}
+    assert str(exc.value) == "grid size 9 is over the cap 8"
+
+
 def test_d2_check_failure_raises_invalid_diagram(monkeypatch):
     # Force every d∘d product to read as nonzero.  The trefoil grid
     # (n = 5) has composable blocks in both complexes, so each must raise;

@@ -1,13 +1,21 @@
 """Family direct sums: handcuff-type decompositions plus skip/empty paths."""
 
+import hashlib
 import json
 
 import pytest
 
-from graphhom import floer
+from graphhom import floer, grid, invariants, kauffman
 from graphhom import graph_homology as gh
 from graphhom.bigraded import BigradedDims
-from graphhom.catalog import handcuff, hopf_handcuff, theta, trefoil_right
+from graphhom.catalog import (
+    braid_closure,
+    figure_eight,
+    handcuff,
+    hopf_handcuff,
+    theta,
+    trefoil_right,
+)
 from graphhom.diagrams import GraphDiagram, connected_sum
 from graphhom.floer import FLOER_GRID_CAP, hat_euler, hat_from_grid, total_homology_from_grid
 from graphhom.graph_homology import (
@@ -21,6 +29,7 @@ from graphhom.kauffman import family
 from graphhom.laurent import Laurent, T
 from graphhom.moves import random_move_sequence
 from test_floer import total_rank
+from test_kauffman import g6_base_scrambled, g8
 
 
 def g6():
@@ -136,17 +145,99 @@ def test_g6_floer_is_complete():
     assert report.verdicts == {"floer_euler": "pass"}
 
 
+def knotted_k():
+    """A graph with members over the grid cap: a Hopf handcuff summed
+    with T(2,5) # 4_1 on one of its loops."""
+    inner = connected_sum(braid_closure([1] * 5, 2), figure_eight())
+    return connected_sum(hopf_handcuff(), inner, arc_a=0)
+
+
+def counted(monkeypatch, name, modules):
+    """Wrap ``name`` in each of ``modules``; the list of its arguments."""
+    calls = []
+    for mod in modules:
+        wrapped = getattr(mod, name)
+        monkeypatch.setattr(mod, name, lambda d, f=wrapped: calls.append(d) or f(d))
+    return calls
+
+
 def test_g6_computes_each_members_alexander_once(monkeypatch):
     # The Euler check reuses the polynomial the aggregates need, so
     # neither module computes it a second time.
-    calls = []
-    for mod in (gh, floer):
-        wrapped = mod.alexander
-        monkeypatch.setattr(mod, "alexander", lambda d, f=wrapped: calls.append(d) or f(d))
+    calls = counted(monkeypatch, "alexander", (gh, floer))
     report = graph_homology(g6(), khovanov=False)
     assert len(report.members) == 8
     assert len(calls) == 8
     assert report.verdicts == {"floer_euler": "pass"}
+
+
+def test_alexander_only_for_floer_computed_members(monkeypatch):
+    calls = counted(monkeypatch, "alexander", (gh, floer))
+    report = graph_homology(knotted_k(), khovanov=False)
+    computed = [m for m in report.members if m.floer is not None]
+    assert len(report.members) == 3
+    assert len(computed) == 1
+    assert len(calls) == 1
+    assert all((m.alexander is None) == (m.floer is None) for m in report.members)
+
+
+def test_g6_reduction_count(monkeypatch):
+    # Family building reduces each built link; the Khovanov and grid
+    # paths reduce each member; the fingerprint takes a reduced diagram.
+    calls = counted(monkeypatch, "reduce_diagram", (invariants, kauffman, gh, grid))
+    graph_homology(g6())
+    assert len(calls) <= 24
+
+
+# sha256 of ``graph_homology(g, coeffs=c, multiset=m).to_json()`` dumped
+# with sorted keys.  K over Z runs without Khovanov: its 11-crossing
+# member takes over a minute there.
+REPORT_GRAPHS = {
+    **{f"G6-seed{s}": (lambda s=s: g6_base_scrambled(s)) for s in range(1, 6)},
+    **{f"G8-seed{s}": (lambda s=s: g8(s)) for s in (1, 2)},
+    "handcuff": handcuff,
+    "hopf_handcuff": hopf_handcuff,
+    "theta": theta,
+    "K": knotted_k,
+}
+G6_DIGESTS = {
+    False: "8005aae5fd0a25018b3153fb7f680bb83e4e0f8e431166a11582605c304349b1",
+    True: "91319a372a1aa6bfa6f4c1a3860f67da15bd6d146590a3a36fd2abfe9a6e92aa",
+}
+G8_DIGESTS = {
+    False: "addc1db82d281669c38bec6b75c165762f94208ef43befd29087b829be52250b",
+    True: "b097aea9611c990534cf721de43d0aa7da0fac63839d2249efaeefba4f2a61fb",
+}
+REPORT_DIGESTS = {
+    **{(f"G6-seed{s}", c, m): G6_DIGESTS[m] for s in range(1, 6) for c in ("z", "f2") for m in (False, True)},
+    **{(f"G8-seed{s}", c, m): G8_DIGESTS[m] for s in (1, 2) for c in ("z", "f2") for m in (False, True)},
+    **{("handcuff", c, False): "bc51c430c61d288112b4aec56056106e551141a6fe4f12a567f3df2c85bb8534" for c in ("z", "f2")},
+    **{("handcuff", c, True): "4fd1ecf1c39675a8b9dab93be6e0f2983cf54b98bb886b4ad6639f9bbb372dc5" for c in ("z", "f2")},
+    **{("hopf_handcuff", c, False): "70757d3d011635da60235c9b912966d11e7322e86e0bf020635c26183b27832e" for c in ("z", "f2")},
+    **{("hopf_handcuff", c, True): "bc24cea323c338f5c5ddafe2348b78f8bfd03b0ddb6308a17bd42fc58b415cc7" for c in ("z", "f2")},
+    **{("theta", c, False): "8a34d8fe92be1d3c9818c1c04599cfe562ddde56f1684e48b94fa6529d113a5e" for c in ("z", "f2")},
+    **{("theta", c, True): "4dd95a851138b89953ed8725842079d2012a1d6f609ee6835ce0f6cc9613d2f2" for c in ("z", "f2")},
+    ("K", "z", False): "4c64a94e5eef552ed9601c585dbdd9d23e3fc4f057de4db2afd2a9409f4e0963",
+    ("K", "z", True): "81210d10fa9caeee07181590334064e6582fe1763ef851a5b997053b46f3c6fe",
+    ("K", "f2", False): "8869e3adfffbeb2230470eb936d278355d9df998146283267aa7f227df1895b2",
+    ("K", "f2", True): "c6d19bc8572f03b745ed646c387b1308653fce20ae8d5e9cbc7d70c23d670b74",
+}
+
+
+@pytest.mark.parametrize(
+    "name,coeffs,multiset",
+    list(REPORT_DIGESTS),
+    ids=[f"{n}-{c}-{'multiset' if m else 'set'}" for n, c, m in REPORT_DIGESTS],
+)
+def test_graph_homology_output_is_pinned(name, coeffs, multiset):
+    khovanov = not (name == "K" and coeffs == "z")
+    report = graph_homology(
+        REPORT_GRAPHS[name](), coeffs=coeffs, multiset=multiset, khovanov=khovanov
+    )
+    doc = report.to_json()
+    assert all("alexander" not in member for member in doc["members"])
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_DIGESTS[name, coeffs, multiset]
 
 
 @pytest.mark.parametrize("graph", [handcuff, hopf_handcuff, g6], ids=lambda f: f.__name__)

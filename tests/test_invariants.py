@@ -26,6 +26,7 @@ from graphhom.errors import CapExceeded, InvalidDiagram
 from graphhom.grid import conway
 from graphhom.invariants import (
     A,
+    BRACKET_CROSSING_CAP,
     DELTA,
     ORIENTATION_FLIP_CAP,
     alexander,
@@ -636,6 +637,47 @@ def test_determinant_pool_covers_zero_and_scrambles():
     assert any(v == 0 and not _is_split(d) for v, (_, d) in zip(values, DETERMINANT_POOL))
     moved = [d for name, d in DETERMINANT_POOL if "scrambled" in name]
     assert sum(has_kink(d) for d in moved) >= 3
+
+
+# -- fingerprint of an unreduced diagram: the slow path of its contract --------
+
+# The braids of the benchmark's floer-links workload, which closes every
+# cyclic rotation of them.
+FLOER_BENCH_BRAIDS = [
+    ([1, -2, 1, -2], 3),
+    ([1] * 5, 2),
+    ([1, 2] * 4, 3),
+    ([1, 1, 1, 2, -1, 2], 3),
+    ([1, -2] * 3, 3),
+    ([1] * 7, 2),
+    ([1, -2] * 6, 3),
+]
+
+UNREDUCED_POOL = (
+    [
+        (f"{name} scrambled {seed}", scrambled(census_link(name), seed))
+        for name in CENSUS_LINKS
+        for seed in (1, 2, 3)
+    ]
+    + [
+        (f"braid({','.join(map(str, word[k:] + word[:k]))})", catalog.braid_closure(word[k:] + word[:k], strands))
+        for word, strands in FLOER_BENCH_BRAIDS
+        for k in range(len(word))
+    ]
+)
+
+
+def test_unreduced_pool_is_unreduced_and_under_the_bracket_cap():
+    ds = [d for _, d in UNREDUCED_POOL]
+    assert all(len(d.crossings) <= BRACKET_CROSSING_CAP for d in ds)
+    assert sum(len(reduce_diagram(d).crossings) < len(d.crossings) for d in ds) >= 20
+
+
+@pytest.mark.parametrize("name,d", UNREDUCED_POOL, ids=[n for n, _ in UNREDUCED_POOL])
+def test_fingerprint_is_unchanged_by_reduction(name, d):
+    # ``fingerprint`` expects a reduced diagram; any diagram of the link
+    # must still give the same value.
+    assert fingerprint(d) == fingerprint(reduce_diagram(d))
 
 
 # -- Alexander of each orientation from flipped Fox rows -----------------------

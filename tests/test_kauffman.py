@@ -8,7 +8,7 @@ import logging
 
 import pytest
 
-from graphhom import kauffman
+from graphhom import invariants, kauffman
 
 from graphhom.catalog import (
     handcuff,
@@ -364,6 +364,24 @@ def test_family_reduces_each_distinct_link_once(g, systems, distinct, monkeypatc
     monkeypatch.setattr(kauffman, "reduce_diagram", counted_reduce)
     family(g)
     assert (len(built), len(reduced)) == (systems, distinct)
+
+
+def test_family_scan_reduces_each_built_form_once(monkeypatch):
+    """The seed-1 benchmark inputs (G6 scrambles 1 to 5 and G8 scramble 1):
+    one reduction per distinct nonempty built link, none in the
+    fingerprint, which takes the reduced diagram ``family`` hands it."""
+    graphs = [g6_base_scrambled(s) for s in range(1, 6)] + [g8(1)]
+    distinct = 0
+    for g in graphs:
+        links = [apply_replacement(g, dict(enumerate(first))) for _, first, _ in closed_pair_tuples(g)]
+        nonempty = {json.dumps(link.to_json(), sort_keys=True) for link in links if link.crossings or link.loops}
+        distinct += len(nonempty)
+    calls = []
+    for mod in (kauffman, invariants):
+        monkeypatch.setattr(mod, "reduce_diagram", lambda d, f=reduce_diagram: calls.append(d) or f(d))
+    for g in graphs:
+        family(g)
+    assert len(calls) == distinct == 86
 
 
 # sha256 of ``family(g).to_json()`` dumped with sorted keys.  The
