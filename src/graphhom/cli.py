@@ -47,13 +47,15 @@ def _emit(doc: dict) -> None:
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise _Exit(2, f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise _Exit(2, f"cannot read {path}: not UTF-8 text (byte {exc.start})")
 
 
 def _load_json(path: str) -> dict:
@@ -65,6 +67,10 @@ def _load_json(path: str) -> dict:
             2,
             f"{path}: malformed JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
         )
+    except RecursionError:
+        raise _Exit(2, f"{path}: malformed JSON: nested too deeply")
+    except ValueError as exc:  # an integer literal past sys.get_int_max_str_digits()
+        raise _Exit(2, f"{path}: malformed JSON: {exc}")
 
 
 _DIAGRAM_KEYS = {"crossings", "vertices", "loops", "orientations"}
@@ -103,9 +109,10 @@ def _load_diagram(path: str) -> GraphDiagram:
 
 
 def _require_link(d: GraphDiagram, path: str) -> GraphDiagram:
+    """The reduced link: the link commands reduce here and nowhere else."""
     if not d.is_link():
         raise _Exit(2, f"{path}: this command needs a link diagram (no vertices)")
-    return d
+    return reduce_diagram(d)
 
 
 def _non_negative(text: str) -> int:
@@ -114,10 +121,12 @@ def _non_negative(text: str) -> int:
     return int(text)
 
 
-def _memory_guard() -> None:
+def _memory_guard() -> Optional[str]:
+    """Apply ``GRAPHHOM_MAX_MEM`` as an address-space limit; the raw
+    value, or None when unset."""
     raw = os.environ.get("GRAPHHOM_MAX_MEM")
     if not raw:
-        return
+        return None
     scale = {"k": 2**10, "m": 2**20, "g": 2**30}
     try:
         mult = scale.get(raw[-1].lower())
@@ -130,6 +139,7 @@ def _memory_guard() -> None:
         res.setrlimit(res.RLIMIT_AS, (limit, limit))
     except (ImportError, ValueError, OSError) as exc:
         raise _Exit(2, f"cannot apply memory limit {raw}: {exc}")
+    return raw
 
 
 # -- subcommands -----------------------------------------------------------
@@ -161,7 +171,7 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    reduced = reduce_diagram(_require_link(_load_diagram(args.path), args.path))
+    reduced = _require_link(_load_diagram(args.path), args.path)
     fp = fingerprint(reduced)
     _emit(
         {
@@ -180,7 +190,7 @@ def _cmd_khovanov(args) -> int:
     d = _require_link(_load_diagram(args.path), args.path)
     fields = khovanov_fields(d, args.coeffs, args.max_crossings)
     if "khovanov_skip" in fields:
-        _emit({"skip": fields["khovanov_skip"], "crossings": len(reduce_diagram(d).crossings)})
+        _emit({"skip": fields["khovanov_skip"], "crossings": len(d.crossings)})
         return 1
     doc = {
         "coeffs": args.coeffs,
@@ -301,7 +311,8 @@ def _census_report(doc: dict) -> dict:
     """Deterministic per-entry report; golden files hold its serialization."""
     d = GraphDiagram.from_json(doc)
     if d.is_link():
-        out = MemberReport(fingerprint(reduce_diagram(d)), 1, **_member_fields(d)).to_json()
+        reduced = reduce_diagram(d)
+        out = MemberReport(fingerprint(reduced), 1, **_member_fields(reduced)).to_json()
         for key in _CENSUS_LINK_OMITS:
             out.pop(key, None)
         out["kind"] = "link"
@@ -331,7 +342,7 @@ def _cmd_census(args) -> int:
     if args.list:
         _emit({"entries": names})
         return 0
-    if args.dump:
+    if args.dump is not None:
         if args.dump not in names:
             raise _Exit(2, f"unknown census entry {args.dump!r}; try --list")
         doc = json.loads(
@@ -403,9 +414,10 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_moves)
 
     p = sub.add_parser("census", help="run the bundled regression corpus")
-    p.add_argument("--write-golden", action="store_true")
-    p.add_argument("--list", action="store_true")
-    p.add_argument("--dump", default=None, metavar="NAME")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--write-golden", action="store_true")
+    only.add_argument("--list", action="store_true")
+    only.add_argument("--dump", default=None, metavar="NAME")
     p.set_defaults(func=_cmd_census)
 
     return top
@@ -413,8 +425,9 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _parser().parse_args(argv)
+    limit = None
     try:
-        _memory_guard()
+        limit = _memory_guard()
         return args.func(args)
     except _Exit as exc:
         sys.stderr.write(exc.message + "\n")
@@ -424,6 +437,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     except GraphhomError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except MemoryError:
+        pass  # reported below, once the traceback has let go of the frames' data
+    named = f" under GRAPHHOM_MAX_MEM={limit}" if limit else ""
+    sys.stderr.write(f"error: out of memory{named}\n")
+    return 1
 
 
 if __name__ == "__main__":

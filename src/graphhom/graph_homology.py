@@ -25,7 +25,7 @@ from .floer import (
     total_homology_from_grid,
 )
 from .grid import GridDiagram, piece_grids, simplify_grid
-from .invariants import Fingerprint, alexander, reduce_diagram
+from .invariants import Fingerprint, alexander
 from .kauffman import family
 from .khovanov import KHOVANOV_CROSSING_CAP, graded_euler, khovanov_homology, unnormalized_jones
 from .laurent import Laurent, T, U
@@ -168,36 +168,35 @@ def floer_fields(pieces: Sequence[GridDiagram], diagram: GraphDiagram, cap: int 
 
 
 def khovanov_fields(
-    diagram: GraphDiagram, coeffs: str = "z", cap: int = KHOVANOV_CROSSING_CAP
+    reduced: GraphDiagram, coeffs: str = "z", cap: int = KHOVANOV_CROSSING_CAP
 ) -> dict:
-    """Khovanov homology of the reduced link diagram with its graded Euler
-    characteristic checked against the Jones polynomial of ``diagram``.  A
-    reduced diagram over ``cap`` crossings gets a skip reason."""
-    reduced = reduce_diagram(diagram)
+    """Khovanov homology of a reduced link diagram, which the caller
+    reduces, with its graded Euler characteristic checked against its
+    Jones polynomial.  One over ``cap`` crossings gets a skip reason."""
     if len(reduced.crossings) > cap:
         return {"khovanov_skip": SKIP_CROSSINGS}
     dims = khovanov_homology(reduced, coeffs, cap)
     euler = graded_euler(dims)
-    check = "pass" if euler == unnormalized_jones(diagram) else "fail"
+    check = "pass" if euler == unnormalized_jones(reduced) else "fail"
     return {"khovanov": dims, "khovanov_euler": euler, "jones_check": check}
 
 
 def _member_fields(
-    diagram: GraphDiagram,
+    reduced: GraphDiagram,
     floer: bool = True,
     khovanov: bool = True,
     coeffs: str = "z",
     grid_cap: int = FLOER_GRID_CAP,
     crossing_cap: int = KHOVANOV_CROSSING_CAP,
 ) -> dict:
-    """The ``MemberReport`` fields of one link diagram: the one per-link
-    path that census link entries and every family member go through."""
+    """The ``MemberReport`` fields of one reduced link diagram: the one
+    per-link path that census links and family members go through."""
     fields: dict = {}
     if floer:
-        pieces = [simplify_grid(g) for g in piece_grids(diagram)]
-        fields.update(floer_fields(pieces, diagram, grid_cap))
+        pieces = [simplify_grid(g) for g in piece_grids(reduced)]
+        fields.update(floer_fields(pieces, reduced, grid_cap))
     if khovanov:
-        fields.update(khovanov_fields(diagram, coeffs, crossing_cap))
+        fields.update(khovanov_fields(reduced, coeffs, crossing_cap))
     return fields
 
 
@@ -222,7 +221,7 @@ def graph_homology(
         MemberReport(
             fingerprint=fm.fingerprint,
             multiplicity=fm.multiplicity,
-            **_member_fields(fm.diagram, floer, khovanov, coeffs, grid_cap, crossing_cap),
+            **_member_fields(fm.reduced, floer, khovanov, coeffs, grid_cap, crossing_cap),
         )
         for fm in fam.members
     )

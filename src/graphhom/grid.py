@@ -502,12 +502,11 @@ def _checked_braid(piece: GraphDiagram) -> Tuple[List[int], int]:
 
 
 def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
-    """One grid per split piece of the oriented link: reduce, then braid
-    each connected piece by ``_checked_braid`` and give each loop the
-    2 x 2 unknot grid."""
+    """One grid per split piece of a reduced link diagram: braid each
+    connected piece by ``_checked_braid`` and give each loop the 2 x 2
+    unknot grid.  The caller reduces; ``pd_to_grid`` takes any diagram."""
     if not d.is_link():
         raise InvalidDiagram(["grid conversion expects a link diagram"])
-    d = reduce_diagram(d)
     grids = [braid_to_grid(*_checked_braid(piece)) for piece in _connected_pieces(d)]
     grids.extend(GridDiagram(2, (1, 0), (0, 1)) for _ in range(d.loops))
     if not grids:
@@ -516,21 +515,22 @@ def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
 
 
 def pd_to_grid(d: GraphDiagram) -> GridDiagram:
-    """Grid presentation of the oriented link: the piece grids stacked
-    block-diagonally."""
-    return reduce(grid_union, piece_grids(d))
+    """Grid presentation of the oriented link: the piece grids of its
+    reduced diagram stacked block-diagonally."""
+    return reduce(grid_union, piece_grids(reduce_diagram(d)))
 
 
 # -- Conway polynomial from the braid's Seifert matrix ----------------------------
 
 
 def conway(d: GraphDiagram) -> Laurent:
-    """Conway polynomial, nabla(t^(1/2) - t^(-1/2)) = det(V - t V^T)
-    t^(-m/2) for the m x m Seifert matrix V of the reduced diagram's
-    ``_checked_braid``; det(t V - V^T) would negate every link with an
-    even number of components.  The surface is a disk per strand and a
-    half-twisted band per letter (J. Collins, An algorithm for computing
-    the Seifert matrix of a link from a braid representation).  A loop
+    """Conway polynomial of a reduced link diagram, which the caller
+    reduces: nabla(t^(1/2) - t^(-1/2)) = det(V - t V^T) t^(-m/2) for the
+    m x m Seifert matrix V of the diagram's ``_checked_braid``;
+    det(t V - V^T) would negate every link with an even number of
+    components.  The surface is a disk per strand and a half-twisted band
+    per letter (J. Collins, An algorithm for computing the Seifert
+    matrix of a link from a braid representation).  A loop
     (p, q) runs up the band of letter p and down that of q, the next
     letter on its generator; with letter signs e, V[(p, q)][(p, q)] =
     -(e_p + e_q)/2, V[(p, q)][(q, s)] = 1 if e_q > 0 and V[(q, s)][(p, q)]
@@ -539,7 +539,6 @@ def conway(d: GraphDiagram) -> Laurent:
     """
     if not d.is_link():
         raise InvalidDiagram(["Conway polynomial is defined for link diagrams"])
-    d = reduce_diagram(d)
     if not d.crossings or _is_split(d):
         return Laurent.one(Z) if not d.crossings and d.loops == 1 else Laurent.zero(Z)
     (piece,) = _connected_pieces(d)

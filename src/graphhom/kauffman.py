@@ -16,7 +16,7 @@ first assignment in product order.  Systems often build the same link,
 so each distinct nonempty link is reduced and keyed once.  Assignments
 are grouped by the canonical key of their reduced link, each group is
 fingerprinted once, and groups with equal fingerprints merge into one
-member, whose diagram is its first link in product order.
+member: its first link in product order and that link's reduction.
 """
 
 from __future__ import annotations
@@ -188,6 +188,7 @@ def apply_replacement(g: GraphDiagram, choice: ReplacementChoice) -> GraphDiagra
 @dataclass(frozen=True)
 class FamilyMember:
     diagram: GraphDiagram
+    reduced: GraphDiagram  # what every per-link computation takes; not in to_json
     fingerprint: Fingerprint
     multiplicity: int
 
@@ -371,17 +372,15 @@ def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
             reduced = reduce_diagram(link)
             by_form[form] = groups.setdefault(reduced.canonical_key(), [link, reduced, 0])
         by_form[form][2] += count
-    # fingerprint sort key -> [(fingerprint, first link, count)] per group
-    merged: Dict[Tuple, List[Tuple[Fingerprint, GraphDiagram, int]]] = {}
+    # fingerprint sort key -> [(fingerprint, first link, reduction, count)] per group
+    merged: Dict[Tuple, List[Tuple[Fingerprint, GraphDiagram, GraphDiagram, int]]] = {}
     for link, reduced, count in groups.values():
         fp = fingerprint(reduced)
-        merged.setdefault(fp.sort_key(), []).append((fp, link, count))
+        merged.setdefault(fp.sort_key(), []).append((fp, link, reduced, count))
     members = []
     for _, parts in sorted(merged.items()):
-        fp, link, _ = parts[0]
+        fp, link, reduced, _ = parts[0]
         if len(parts) > 1:
             log.warning("fingerprint collision: distinct reduced diagrams share %s", fp)
-        members.append(
-            FamilyMember(diagram=link, fingerprint=fp, multiplicity=sum(p[2] for p in parts))
-        )
+        members.append(FamilyMember(link, reduced, fp, sum(p[3] for p in parts)))
     return LinkFamily(assignments=n, members=tuple(members))

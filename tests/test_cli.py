@@ -1,11 +1,15 @@
 """End-to-end checks of the command line interface.
 
-Everything goes through main(argv) in-process; stdout is captured and
-parsed back, so these double as determinism checks on the JSON layer.
+Everything but the memory-limit check goes through main(argv)
+in-process; stdout is captured and parsed back, so these double as
+determinism checks on the JSON layer.  The memory-limit check runs in a
+subprocess, since the limit must never apply to the test process.
 """
 
 import io
 import json
+import os
+import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,6 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from graphhom.catalog import (
+    braid_closure,
     handcuff,
     hopf_handcuff,
     hopf_positive,
@@ -87,6 +92,26 @@ def test_malformed_json_exit_two_with_position(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 1" in err and "column" in err
+
+
+# Documents that ``json.loads`` itself rejects past its syntax errors.
+UNPARSABLE_DOCUMENTS = {
+    "nested_100000_deep": b"[" * 100_000 + b"]" * 100_000,
+    "not_utf8": b'{"crossings": [], "loops": 1, "name": "\xff\xfe"}',
+    "integer_over_4300_digits": b'{"loops": ' + b"1" * 5000 + b"}",
+}
+
+
+@pytest.mark.parametrize("command", COMPUTE_COMMANDS, ids=lambda c: c[0])
+@pytest.mark.parametrize("name", list(UNPARSABLE_DOCUMENTS))
+def test_unparsable_document_exit_two(command, name, tmp_path, capsys):
+    p = tmp_path / "doc.json"
+    p.write_bytes(UNPARSABLE_DOCUMENTS[name])
+    code = main([command[0], str(p), *command[1:]])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.count("\n") == 1
+    assert str(p) in err and "Traceback" not in err
 
 
 HOPF = '{"crossings": [[0, 2, 3, 1], [2, 0, 1, 3]]'
@@ -453,6 +478,44 @@ def test_census_dump_is_valid_diagram(capsys):
     code, out = run_cli(["census", "--dump", "theta"], capsys=capsys)
     assert code == 0
     assert json.loads(out) == json.loads(json.dumps(theta().to_json()))
+
+
+def test_census_dump_of_empty_name_exit_two(capsys):
+    code = main(["census", "--dump", ""])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "unknown census entry ''" in err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--list", "--dump", "unknot"], ["--list", "--write-golden"], ["--dump", "unknot", "--write-golden"]],
+    ids=["list+dump", "list+write-golden", "dump+write-golden"],
+)
+def test_census_flags_are_mutually_exclusive(flags, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["census", *flags])
+    out, err = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out == "" and "not allowed with argument" in err
+
+
+def test_memory_limit_hit_mid_run_exits_one_with_one_line(tmp_path):
+    # 16m is below the interpreter's own address space; ``main`` applies the
+    # limit after start-up, so only the Khovanov run of the (s1 s2^-1)^5
+    # closure, which must map more memory, hits it.
+    p = tmp_path / "link.json"
+    p.write_text(json.dumps(braid_closure([1, -2] * 5, 3).to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-m", "graphhom.cli", "khovanov", str(p)],
+        env={**os.environ, "GRAPHHOM_MAX_MEM": "16m"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: out of memory under GRAPHHOM_MAX_MEM=16m\n"
 
 
 def test_stdin_dash(capsys):

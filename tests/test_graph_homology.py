@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from graphhom import floer, grid, invariants, kauffman
+from graphhom import cli, floer, grid, invariants, kauffman
 from graphhom import graph_homology as gh
 from graphhom.bigraded import BigradedDims
 from graphhom.catalog import (
@@ -181,12 +181,40 @@ def test_alexander_only_for_floer_computed_members(monkeypatch):
     assert all((m.alexander is None) == (m.floer is None) for m in report.members)
 
 
+# Every module that calls ``reduce_diagram``; ``graph_homology`` does not.
+REDUCING_MODULES = (invariants, kauffman, grid, cli)
+
+
 def test_g6_reduction_count(monkeypatch):
-    # Family building reduces each built link; the Khovanov and grid
-    # paths reduce each member; the fingerprint takes a reduced diagram.
-    calls = counted(monkeypatch, "reduce_diagram", (invariants, kauffman, gh, grid))
+    # Family building reduces each distinct built link once; the member
+    # hands its reduction to the Floer and Khovanov paths.
+    calls = counted(monkeypatch, "reduce_diagram", REDUCING_MODULES)
     graph_homology(g6())
-    assert len(calls) <= 24
+    assert len(calls) == 8
+    assert not hasattr(gh, "reduce_diagram")
+
+
+def test_k_floer_reduction_count(monkeypatch):
+    calls = counted(monkeypatch, "reduce_diagram", REDUCING_MODULES)
+    graph_homology(knotted_k(), khovanov=False)
+    assert len(calls) == 3
+
+
+def test_census_reduction_count(monkeypatch, capsys):
+    # One reduction per census link where it enters, one per distinct
+    # built link of each census graph's family.
+    calls = counted(monkeypatch, "reduce_diagram", REDUCING_MODULES)
+    assert cli.main(["census"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    assert len(calls) == 12
+
+
+def test_invariants_reduces_once(monkeypatch, tmp_path, capsys):
+    p = tmp_path / "link.json"
+    p.write_text(json.dumps(braid_closure([1, -2] * 7, 3).to_json()))
+    calls = counted(monkeypatch, "reduce_diagram", REDUCING_MODULES)
+    assert cli.main(["invariants", str(p)]) == 0
+    assert len(calls) == 1
 
 
 # sha256 of ``graph_homology(g, coeffs=c, multiset=m).to_json()`` dumped

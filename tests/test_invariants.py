@@ -43,9 +43,11 @@ from graphhom.invariants import (
     _over_arcs,
 )
 from graphhom.kauffman import family
+from graphhom.khovanov import unnormalized_jones
 from graphhom.laurent import Laurent, T, Z, normalize_alexander
 from graphhom.linalg import smith_invariant_factors
 from graphhom.moves import random_move_sequence
+from test_graph_homology import knotted_k
 from test_kauffman import g6_base_scrambled, g8
 from test_laurent import conway_to_alexander
 from test_linalg import KHOVANOV_Z_BRAIDS
@@ -930,7 +932,7 @@ def test_alexander_matches_skein_on_random_braids(braid):
 def test_conway_matches_skein_under_every_orientation(name, d):
     for arcs in flip_sets(d):
         cur = _reverse_arcs(d, arcs)
-        assert conway(cur) == skein_conway(cur)
+        assert conway(reduce_diagram(cur)) == skein_conway(cur)
 
 
 # Closures up to 16 crossings; the skein recursion takes seconds past that.
@@ -962,7 +964,8 @@ CONWAY_POOL = (
 
 @pytest.mark.parametrize("name,d", CONWAY_POOL, ids=[n for n, _ in CONWAY_POOL])
 def test_conway_matches_skein(name, d):
-    assert conway(d) == skein_conway(d)
+    # ``conway`` takes a reduced diagram; the skein recursion, any diagram.
+    assert conway(reduce_diagram(d)) == skein_conway(d)
 
 
 def test_conway_pool_reaches_sixteen_crossings_and_both_parities():
@@ -972,3 +975,27 @@ def test_conway_pool_reaches_sixteen_crossings_and_both_parities():
     assert parities == {0, 1}
     moved = [d for name, d in CONWAY_POOL if "scrambled" in name]
     assert sum(has_kink(d) for d in moved) >= 3
+
+
+# -- reduction keeps the polynomials the Euler checks compare ------------------
+# The per-link paths take the reduced diagram only: the Khovanov and Floer
+# Euler checks compare its homology with its own Jones and Alexander
+# polynomials, so the reduction must keep both on the diagrams they see.
+
+REDUCTION_POOL = (
+    FAMILY_MEMBERS
+    + [(f"K member {k}", m.diagram) for k, m in enumerate(family(knotted_k()).members)]
+    + [(name, census_link(name)) for name in CENSUS_LINKS]
+    + [(name, d) for name, d in CONWAY_POOL if " scrambled " in name]
+)
+
+
+@pytest.mark.parametrize("name,d", REDUCTION_POOL, ids=[n for n, _ in REDUCTION_POOL])
+def test_reduction_keeps_jones_and_alexander(name, d):
+    reduced = reduce_diagram(d)
+    assert unnormalized_jones(reduced) == unnormalized_jones(d)
+    assert alexander(reduced) == alexander(d)
+
+
+def test_reduction_pool_holds_unreduced_diagrams():
+    assert sum(reduce_diagram(d) is not d for _, d in REDUCTION_POOL) >= 80
