@@ -44,10 +44,10 @@ class RoutingFailure(GraphhomError):
     """A link diagram gave no braid, hence no grid or Conway polynomial.
 
     Either braid extraction through the Seifert circles failed, or the
-    extracted braid closure has a different fingerprint from the piece
-    it came from.  Validation refuses non-planar input before this
-    point, so the error marks a fault in the conversion, not bad input
-    or a size problem.
+    extracted braid closure has a different oriented Jones or Alexander
+    polynomial from the piece it came from.  Validation refuses
+    non-planar input before this point, so the error marks a fault in
+    the conversion, not bad input or a size problem.
     """
 
 

@@ -9,8 +9,9 @@ permutations determines an oriented link.
 Conversion from a planar diagram goes through braid form: Seifert
 circles are made coherently nested by poking strands across defect
 faces (a type II move through any face bordered by two same-sense arcs
-of distinct circles), the braid word is read off the nested annuli, and
-the closed braid is laid out on a grid column by column.
+of distinct circles), the braid word is read off the nested annuli and
+checked by the oriented Jones and Alexander polynomials of its closure,
+and the closed braid is laid out on a grid column by column.
 
 The braid word also gives ``conway`` the Conway polynomial through a
 Seifert matrix; the tests hold it against a skein recursion.
@@ -23,15 +24,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .catalog import braid_closure
 from .diagrams import Dart, GraphDiagram, union_classes
 from .errors import InvalidDiagram, RoutingFailure
-from .invariants import _det_poly, _is_split, fingerprint, reduce_diagram
+from .invariants import _det_poly, _is_split, alexander, jones, reduce_diagram
 from .laurent import Laurent, T, Z, alexander_to_conway
 from .moves import _r2_insert, crossing_from_compass
 
 # Most grids one commutation search of simplify_grid visits.
 SIMPLIFY_SEARCH_CAP = 4000
 
-# Longest extracted braid word whose closure is checked by fingerprint
-# against the piece it came from; Khovanov homology has the same bound.
+# Longest extracted braid word whose closure is checked by oriented Jones
+# and Alexander against its piece; Khovanov homology has the same bound.
 BRAID_CHECK_CAP = 14
 
 
@@ -490,13 +491,14 @@ def _connected_pieces(d: GraphDiagram) -> List[GraphDiagram]:
 
 
 def _checked_braid(piece: GraphDiagram) -> Tuple[List[int], int]:
-    """``braid_word`` of a connected piece, checked by fingerprint up to
-    ``BRAID_CHECK_CAP`` letters (RoutingFailure on a mismatch).  Longer
-    words go unchecked: a fingerprint's Alexander determinants grow with
-    the word, and the check takes them for closure and piece alike."""
+    """``braid_word`` of a connected piece, checked by oriented Jones and
+    Alexander up to ``BRAID_CHECK_CAP`` letters (RoutingFailure on a
+    mismatch).  Longer words go unchecked: the bracket and Alexander
+    determinants grow with the word, for closure and piece alike."""
     word, strands = braid_word(piece)
     if len(word) <= BRAID_CHECK_CAP:
-        if fingerprint(braid_closure(word, strands)) != fingerprint(piece):
+        closure = braid_closure(word, strands)
+        if jones(closure) != jones(piece) or alexander(closure) != alexander(piece):
             raise RoutingFailure("extracted braid closure presents a different link")
     return word, strands
 

@@ -31,8 +31,9 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .diagrams import GraphDiagram, splice_crossing, union_classes
-from .errors import CapExceeded, InvalidDiagram
+from .errors import CapExceeded, InvalidDiagram, PatternMismatch
 from .laurent import Laurent, T, normalize_alexander
+from .moves import _bigon_crossings, _r1_remove
 
 A = ("A",)
 
@@ -173,28 +174,24 @@ def jones(d: GraphDiagram) -> Laurent:
 def reduce_diagram(d: GraphDiagram) -> GraphDiagram:
     """Remove kink and bigon patterns until none remain.
 
-    A monogon face marks a kink; a bigon face whose strand parities are
-    uniform marks a second Reidemeister pair.  Both erase by splicing the
+    A monogon face marks a kink; a bigon face that ``moves`` reads as
+    poked marks a second Reidemeister pair.  Both erase by splicing the
     crossings straight through.  Vertices are left untouched.
     """
-    changed = True
-    while changed:
-        changed = False
+    while True:
         for face in d.faces():
             if len(face) == 1 and face[0][0] == "x":
-                d = splice_crossing(d, face[0][1])
-                changed = True
+                d = _r1_remove(d, face[0][1])
                 break
             if len(face) == 2:
-                (k1, i1, s1), (k2, i2, s2) = face
-                if k1 != "x" or k2 != "x" or i1 == i2:
+                try:
+                    i1, i2 = _bigon_crossings(face)
+                except PatternMismatch:
                     continue
-                if s1 % 2 == (s2 - 1) % 2:  # one strand over at both
-                    d = splice_crossing(d, max(i1, i2))
-                    d = splice_crossing(d, min(i1, i2))
-                    changed = True
-                    break
-    return d
+                d = splice_crossing(splice_crossing(d, max(i1, i2)), min(i1, i2))
+                break
+        else:
+            return d
 
 
 def _is_split(d: GraphDiagram) -> bool:

@@ -173,10 +173,10 @@ def _r2_insert(d: GraphDiagram, da: Dart, db: Dart, over_b: bool) -> GraphDiagra
     return GraphDiagram(crossings, vertices, d.loops, heads)
 
 
-def _bigon_crossings(d: GraphDiagram, dart: Dart) -> Tuple[int, int]:
-    orbit = _orbit_of(d, dart)
+def _bigon_crossings(orbit: Tuple[Dart, ...]) -> Tuple[int, int]:
+    """The two crossings of a poked bigon face, given as its orbit."""
     if len(orbit) != 2:
-        raise PatternMismatch(f"face of {dart} is not a bigon")
+        raise PatternMismatch(f"face {orbit} is not a bigon")
     (k1, i1, s1), (k2, i2, s2) = orbit
     if k1 != "x" or k2 != "x":
         raise PatternMismatch("bigon removal needs both corners at crossings")
@@ -188,7 +188,7 @@ def _bigon_crossings(d: GraphDiagram, dart: Dart) -> Tuple[int, int]:
 
 
 def _r2_remove(d: GraphDiagram, dart: Dart) -> GraphDiagram:
-    i1, i2 = _bigon_crossings(d, dart)
+    i1, i2 = _bigon_crossings(_orbit_of(d, dart))
     out = splice_crossing(d, max(i1, i2))
     return splice_crossing(out, min(i1, i2))
 
@@ -518,7 +518,7 @@ def legal_sites(d: GraphDiagram, kinds: Optional[set] = None) -> List[MoveSite]:
             ks = sorted(k for k, _, _ in f)
             if ks == ["x", "x"] and want("R2"):
                 try:
-                    _bigon_crossings(d, f[0])
+                    _bigon_crossings(f)
                 except PatternMismatch:
                     pass
                 else:

@@ -26,6 +26,7 @@ from graphhom.catalog import (
     trefoil_right,
 )
 from graphhom.cli import LOOP_CAP, main
+from graphhom.graph_homology import SKIP_GRID
 
 
 def run_cli(argv, stdin_text=None, capsys=None):
@@ -407,6 +408,22 @@ def test_floer_cap_skip_exits_one(tref_path, capsys):
     code, out = run_cli(["floer", tref_path, "--max-grid", "2"], capsys=capsys)
     assert code == 1
     assert "skipped" in json.loads(out)["skip"]
+
+
+def test_floer_eight_component_link_skips_on_grid_cap(tmp_path, capsys):
+    # The closure of s1^2 s2^2 ... s7^2 has 8 components, past the
+    # fingerprint's orientation cap; grid conversion checks its braid in
+    # the given orientation, so only the grid cap stops it.
+    p = tmp_path / "link.json"
+    word = [g for i in range(1, 8) for g in (i, i)]
+    p.write_text(json.dumps(braid_closure(word, 8).to_json()))
+    code = main(["floer", str(p)])
+    captured = capsys.readouterr()
+    assert code == 1
+    doc = json.loads(captured.out)
+    assert doc["components"] == 8
+    assert doc["skip"] == SKIP_GRID
+    assert "orientation cap" not in captured.err
 
 
 def test_graph_homology_full_and_summary(handcuff_path, capsys):

@@ -1,10 +1,13 @@
 """Family direct sums: handcuff-type decompositions plus skip/empty paths."""
 
 import hashlib
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import graphhom
 from graphhom import cli, floer, grid, invariants, kauffman
 from graphhom import graph_homology as gh
 from graphhom.bigraded import BigradedDims
@@ -215,6 +218,27 @@ def test_invariants_reduces_once(monkeypatch, tmp_path, capsys):
     calls = counted(monkeypatch, "reduce_diagram", REDUCING_MODULES)
     assert cli.main(["invariants", str(p)]) == 0
     assert len(calls) == 1
+
+
+def fingerprint_holders():
+    """Every graphhom module that holds ``invariants.fingerprint``."""
+    mods = [importlib.import_module(f"graphhom.{m.name}") for m in pkgutil.iter_modules(graphhom.__path__)]
+    return [m for m in mods if getattr(m, "fingerprint", None) is invariants.fingerprint]
+
+
+def test_g6_fingerprint_count(monkeypatch):
+    # One fingerprint per distinct built link in family dedup; grid
+    # conversion checks its braids without one.
+    calls = counted(monkeypatch, "fingerprint", fingerprint_holders())
+    graph_homology(g6())
+    assert len(calls) == 8
+    assert not hasattr(grid, "fingerprint")
+
+
+def test_k_floer_fingerprint_count(monkeypatch):
+    calls = counted(monkeypatch, "fingerprint", fingerprint_holders())
+    graph_homology(knotted_k(), khovanov=False)
+    assert len(calls) == 3
 
 
 # sha256 of ``graph_homology(g, coeffs=c, multiset=m).to_json()`` dumped

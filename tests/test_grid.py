@@ -37,7 +37,7 @@ from graphhom.grid import (
     translate,
     transpose,
 )
-from graphhom.invariants import fingerprint
+from graphhom.invariants import fingerprint, jones, reduce_diagram
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
 
@@ -205,6 +205,22 @@ def test_wrong_braid_closure_raises_routing_failure(monkeypatch):
         piece_grids(trefoil_right())
     with pytest.raises(RoutingFailure, match="extracted braid closure presents a different link"):
         grid_mod.conway(trefoil_right())
+
+
+def test_reversed_component_braid_raises_routing_failure(monkeypatch):
+    # (1, -2, -1, -1, -2) on 3 strands closes to T(2,4) with one
+    # component reversed: the unoriented fingerprint cannot tell it from
+    # the s1^4 closure, but the oriented Jones polynomial can.
+    reversed_word = ([1, -2, -1, -1, -2], 3)
+    torus = braid_closure([1, 1, 1, 1], 2)
+    wrong = braid_closure(*reversed_word)
+    assert fingerprint(reduce_diagram(wrong)) == fingerprint(torus)
+    assert jones(wrong) != jones(torus)
+    monkeypatch.setattr(grid_mod, "braid_word", lambda d: reversed_word)
+    with pytest.raises(RoutingFailure, match="extracted braid closure presents a different link"):
+        piece_grids(torus)
+    with pytest.raises(RoutingFailure, match="extracted braid closure presents a different link"):
+        grid_mod.conway(torus)
 
 
 def test_braid_word_recovers_torus_words():
