@@ -23,8 +23,8 @@ from typing import List, Optional, Tuple
 from .diagrams import GraphDiagram
 from .errors import CapExceeded, GraphhomError, InvalidDiagram, PatternMismatch
 from .floer import FLOER_GRID_CAP
-from .graph_homology import MemberReport, _member_fields, floer_fields, graph_homology, khovanov_fields
-from .grid import GridDiagram, conway, grid_to_diagram, grid_union, piece_grids, simplify_grid
+from .graph_homology import MemberReport, _member_fields, _piece_tables, floer_fields, graph_homology
+from .grid import GridDiagram, conway, grid_to_diagram, grid_union, simplify_grid
 from .invariants import determinant, fingerprint, reduce_diagram
 from .kauffman import FAMILY_ASSIGNMENT_CAP, family
 from .khovanov import KHOVANOV_CROSSING_CAP
@@ -188,7 +188,7 @@ def _cmd_invariants(args) -> int:
 
 def _cmd_khovanov(args) -> int:
     d = _require_link(_load_diagram(args.path), args.path)
-    fields = khovanov_fields(d, args.coeffs, args.max_crossings)
+    fields = _member_fields(d, {}, floer=False, coeffs=args.coeffs, crossing_cap=args.max_crossings)
     if "khovanov_skip" in fields:
         _emit({"skip": fields["khovanov_skip"], "crossings": len(d.crossings)})
         return 1
@@ -217,13 +217,13 @@ def _cmd_floer(args) -> int:
         except InvalidDiagram as exc:
             raise _Exit(2, f"{args.path}: invalid grid: {exc}")
         d = grid_to_diagram(g)
-        pieces = [simplify_grid(g)]
+        pieces = [{"grid": simplify_grid(g)}]
         source = "grid"
     else:
         d = _require_link(_diagram_from_doc(doc, args.path), args.path)
-        pieces = [simplify_grid(g) for g in piece_grids(d)]
+        pieces = _piece_tables(d, {})
         source = "link"
-    g = reduce(grid_union, pieces)
+    g = reduce(grid_union, (p["grid"] for p in pieces))
     out: dict = {"source": source, "grid": g.to_json(), "components": g.component_count()}
     fields = floer_fields(pieces, d, args.max_grid)
     if "floer_skip" in fields:
@@ -312,7 +312,7 @@ def _census_report(doc: dict) -> dict:
     d = GraphDiagram.from_json(doc)
     if d.is_link():
         reduced = reduce_diagram(d)
-        out = MemberReport(fingerprint(reduced), 1, **_member_fields(reduced)).to_json()
+        out = MemberReport(fingerprint(reduced), 1, **_member_fields(reduced, {})).to_json()
         for key in _CENSUS_LINK_OMITS:
             out.pop(key, None)
         out["kind"] = "link"

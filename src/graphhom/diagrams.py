@@ -457,6 +457,10 @@ class GraphDiagram:
 
     # -- canonical form -----------------------------------------------------------
 
+    def exact_form(self) -> Tuple:
+        """Equal for equal diagrams, arc and site labels included."""
+        return (self.crossings, self.vertices, self.loops, tuple(sorted(self.heads.items())))
+
     def canonical_key(self) -> Tuple:
         """Label-independent form: minimal BFS serialization per connected
         component, components sorted.  Preserves chirality (rotations are

@@ -6,13 +6,18 @@ over the distinct members of the replacement family.  Members whose
 computation would breach a size cap are skipped with a reason instead
 of failing the whole report, and any skip downgrades the corresponding
 Euler verdict from pass/fail to partial.
+
+Within one ``graph_homology`` call the members share, by exact form,
+each split piece's checked braid, grid, hat and total homology and each
+loop-free core's Khovanov table; each member checks its own tables
+against its own Alexander and Jones polynomials and component count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .bigraded import BigradedDims
 from .diagrams import GraphDiagram
@@ -24,10 +29,10 @@ from .floer import (
     skein_euler_target,
     total_homology_from_grid,
 )
-from .grid import GridDiagram, piece_grids, simplify_grid
+from .grid import piece_grids, simplify_grid, split_pieces
 from .invariants import Fingerprint, alexander
 from .kauffman import family
-from .khovanov import KHOVANOV_CROSSING_CAP, graded_euler, khovanov_homology, unnormalized_jones
+from .khovanov import KHOVANOV_CROSSING_CAP, graded_euler, khovanov_homology, tensor_loops, unnormalized_jones
 from .laurent import Laurent, T, U
 
 SKIP_GRID = "floer: skipped (grid too large)"
@@ -57,27 +62,12 @@ class MemberReport:
     alexander: Optional[Laurent] = None
 
     def to_json(self) -> dict:
-        doc: dict = {
-            "fingerprint": self.fingerprint.to_json(),
-            "multiplicity": self.multiplicity,
+        """Every field that is set, but ``alexander``."""
+        return {
+            name: value.to_json() if hasattr(value, "to_json") else value
+            for name, value in vars(self).items()
+            if value is not None and name != "alexander"
         }
-        if self.grid_size is not None:
-            doc["grid_size"] = self.grid_size
-        if self.floer is not None:
-            doc["floer"] = self.floer.to_json()
-            doc["floer_euler"] = self.floer_euler.to_json()
-            doc["floer_check"] = self.floer_check
-            doc["total_poincare"] = self.total_poincare.to_json()
-            doc["total_check"] = self.total_check
-        if self.floer_skip:
-            doc["floer_skip"] = self.floer_skip
-        if self.khovanov is not None:
-            doc["khovanov"] = self.khovanov.to_json()
-            doc["khovanov_euler"] = self.khovanov_euler.to_json()
-            doc["jones_check"] = self.jones_check
-        if self.khovanov_skip:
-            doc["khovanov_skip"] = self.khovanov_skip
-        return doc
 
 
 @dataclass(frozen=True)
@@ -133,30 +123,47 @@ _HAT_SPLIT_FACTOR = BigradedDims.of_ranks({(1, 0): 1, (-1, 0): 1})
 _TOTAL_SPLIT_FACTOR = _expected_total(2)
 
 
-def floer_fields(pieces: Sequence[GridDiagram], diagram: GraphDiagram, cap: int = FLOER_GRID_CAP) -> dict:
-    """Hat and total homology of the link ``diagram``, whose split pieces
-    ``pieces`` present as simplified grids, each checked against what the
-    whole link predicts: the hat Euler characteristic against the skein
-    polynomial of the Alexander polynomial of ``diagram``, which is kept
-    as ``alexander``, the total homology against (u^1/2 + u^-1/2)^(l-1).
+def _piece_tables(reduced: GraphDiagram, tables: dict) -> List[dict]:
+    """The table of each split piece of a reduced link diagram: its
+    simplified grid under "grid", to which ``floer_fields`` adds the hat
+    and total homology.  ``tables`` keeps one per exact form of piece, so
+    a piece met again is braided, checked and computed only once."""
+    out = []
+    for piece in split_pieces(reduced):
+        key = ("piece", piece.exact_form())
+        if key not in tables:
+            tables[key] = {"grid": simplify_grid(*piece_grids(piece))}
+        out.append(tables[key])
+    return out
 
-    Each piece is computed on its own grid and the pieces are tensored,
-    with one rank-two factor per piece past the first.  ``cap`` bounds the
-    largest piece, since the total complex of a piece has n! generators:
-    when a piece is over it, the link gets a skip reason and no
-    Alexander polynomial.  ``grid_size`` is the sum of the piece sizes,
-    the size of the stacked grid.
+
+def floer_fields(pieces: Sequence[dict], diagram: GraphDiagram, cap: int = FLOER_GRID_CAP) -> dict:
+    """Hat and total homology of the link ``diagram``, whose split pieces
+    have the tables ``pieces`` (``_piece_tables``), checked against what
+    the whole link predicts: the hat Euler characteristic against the
+    skein polynomial of the Alexander polynomial of ``diagram``, which is
+    kept as ``alexander``, the total homology against (u^1/2 + u^-1/2)^(l-1).
+
+    Each table gets its piece's hat and total once, from its own grid, and
+    the pieces are tensored, with one rank-two factor per piece past the
+    first.  ``cap`` bounds the largest piece, since the total complex of a
+    piece has n! generators: when a piece is over it, the link gets a skip
+    reason and no Alexander polynomial.  ``grid_size`` is the sum of the
+    piece sizes, the size of the stacked grid.
     """
-    fields: dict = {"grid_size": sum(g.n for g in pieces)}
-    if max(g.n for g in pieces) > cap:
+    fields: dict = {"grid_size": sum(p["grid"].n for p in pieces)}
+    if max(p["grid"].n for p in pieces) > cap:
         fields["floer_skip"] = SKIP_GRID
         return fields
-    hat = hat_from_grid(pieces[0], cap)
-    total = total_homology_from_grid(pieces[0], cap)
-    for g in pieces[1:]:
-        hat = hat.tensor_ranks(hat_from_grid(g, cap)).tensor_ranks(_HAT_SPLIT_FACTOR)
-        total = total * total_homology_from_grid(g, cap) * _TOTAL_SPLIT_FACTOR
-    components = sum(g.component_count() for g in pieces)
+    for p in pieces:
+        if "hat" not in p:
+            p["hat"] = hat_from_grid(p["grid"], cap)
+            p["total"] = total_homology_from_grid(p["grid"], cap)
+    hat, total = pieces[0]["hat"], pieces[0]["total"]
+    for p in pieces[1:]:
+        hat = hat.tensor_ranks(p["hat"]).tensor_ranks(_HAT_SPLIT_FACTOR)
+        total = total * p["total"] * _TOTAL_SPLIT_FACTOR
+    components = sum(p["grid"].component_count() for p in pieces)
     delta = alexander(diagram)
     fields["floer"] = hat
     fields["floer_euler"] = hat_euler(hat)
@@ -167,36 +174,33 @@ def floer_fields(pieces: Sequence[GridDiagram], diagram: GraphDiagram, cap: int 
     return fields
 
 
-def khovanov_fields(
-    reduced: GraphDiagram, coeffs: str = "z", cap: int = KHOVANOV_CROSSING_CAP
-) -> dict:
-    """Khovanov homology of a reduced link diagram, which the caller
-    reduces, with its graded Euler characteristic checked against its
-    Jones polynomial.  One over ``cap`` crossings gets a skip reason."""
-    if len(reduced.crossings) > cap:
-        return {"khovanov_skip": SKIP_CROSSINGS}
-    dims = khovanov_homology(reduced, coeffs, cap)
-    euler = graded_euler(dims)
-    check = "pass" if euler == unnormalized_jones(reduced) else "fail"
-    return {"khovanov": dims, "khovanov_euler": euler, "jones_check": check}
-
-
 def _member_fields(
     reduced: GraphDiagram,
+    tables: dict,
     floer: bool = True,
     khovanov: bool = True,
     coeffs: str = "z",
     grid_cap: int = FLOER_GRID_CAP,
     crossing_cap: int = KHOVANOV_CROSSING_CAP,
 ) -> dict:
-    """The ``MemberReport`` fields of one reduced link diagram: the one
-    per-link path that census links and family members go through."""
+    """The ``MemberReport`` fields of one reduced link diagram, the one
+    per-link path.  ``tables`` holds what links share, by exact form: the
+    ``_piece_tables`` and the Khovanov table of each loop-free core, to
+    which ``tensor_loops`` adds the loops.  The checks are the link's own."""
     fields: dict = {}
     if floer:
-        pieces = [simplify_grid(g) for g in piece_grids(reduced)]
-        fields.update(floer_fields(pieces, reduced, grid_cap))
-    if khovanov:
-        fields.update(khovanov_fields(reduced, coeffs, crossing_cap))
+        fields.update(floer_fields(_piece_tables(reduced, tables), reduced, grid_cap))
+    if khovanov and len(reduced.crossings) > crossing_cap:
+        fields["khovanov_skip"] = SKIP_CROSSINGS
+    elif khovanov:
+        core = GraphDiagram(reduced.crossings, [], 0, reduced.heads)
+        key = ("core", core.exact_form())
+        if key not in tables:
+            tables[key] = khovanov_homology(core, coeffs, crossing_cap)
+        dims = tensor_loops(tables[key], reduced.loops)
+        euler = graded_euler(dims)
+        check = "pass" if euler == unnormalized_jones(reduced) else "fail"
+        fields.update(khovanov=dims, khovanov_euler=euler, jones_check=check)
     return fields
 
 
@@ -217,11 +221,12 @@ def graph_homology(
     those of the aggregate tables; a skipped member turns its flavor's
     verdict from pass to partial."""
     fam = family(g)
+    tables: dict = {}
     members = tuple(
         MemberReport(
             fingerprint=fm.fingerprint,
             multiplicity=fm.multiplicity,
-            **_member_fields(fm.reduced, floer, khovanov, coeffs, grid_cap, crossing_cap),
+            **_member_fields(fm.reduced, tables, floer, khovanov, coeffs, grid_cap, crossing_cap),
         )
         for fm in fam.members
     )

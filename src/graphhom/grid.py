@@ -474,7 +474,12 @@ def braid_to_grid(word: Sequence[int], strands: int) -> GridDiagram:
 # -- full conversion ---------------------------------------------------------------
 
 
-def _connected_pieces(d: GraphDiagram) -> List[GraphDiagram]:
+def split_pieces(d: GraphDiagram) -> List[GraphDiagram]:
+    """The split pieces of a link diagram, for grid conversion: each
+    connected piece with its arcs and crossings numbered from 0, then a
+    crossing-free loop per loop."""
+    if not d.is_link():
+        raise InvalidDiagram(["grid conversion expects a link diagram"])
     pieces = []
     for sites in d.site_components():
         members = sorted(i for _, i in sites)
@@ -487,6 +492,9 @@ def _connected_pieces(d: GraphDiagram) -> List[GraphDiagram]:
             kind, i, s = d.heads[a]
             heads[arc_map[a]] = (kind, site_map[i], s)
         pieces.append(GraphDiagram(crossings, [], 0, heads))
+    pieces += [GraphDiagram([], [], 1)] * d.loops
+    if not pieces:
+        raise InvalidDiagram(["empty diagram has no grid presentation"])
     return pieces
 
 
@@ -504,16 +512,11 @@ def _checked_braid(piece: GraphDiagram) -> Tuple[List[int], int]:
 
 
 def piece_grids(d: GraphDiagram) -> List[GridDiagram]:
-    """One grid per split piece of a reduced link diagram: braid each
-    connected piece by ``_checked_braid`` and give each loop the 2 x 2
-    unknot grid.  The caller reduces; ``pd_to_grid`` takes any diagram."""
-    if not d.is_link():
-        raise InvalidDiagram(["grid conversion expects a link diagram"])
-    grids = [braid_to_grid(*_checked_braid(piece)) for piece in _connected_pieces(d)]
-    grids.extend(GridDiagram(2, (1, 0), (0, 1)) for _ in range(d.loops))
-    if not grids:
-        raise InvalidDiagram(["empty diagram has no grid presentation"])
-    return grids
+    """One grid per split piece of a reduced link diagram: the closure of
+    a connected piece's ``_checked_braid``, the 2 x 2 unknot for a loop.
+    The caller reduces; ``pd_to_grid`` takes any diagram."""
+    unknot = GridDiagram(2, (1, 0), (0, 1))
+    return [braid_to_grid(*_checked_braid(p)) if p.crossings else unknot for p in split_pieces(d)]
 
 
 def pd_to_grid(d: GraphDiagram) -> GridDiagram:
@@ -543,7 +546,7 @@ def conway(d: GraphDiagram) -> Laurent:
         raise InvalidDiagram(["Conway polynomial is defined for link diagrams"])
     if not d.crossings or _is_split(d):
         return Laurent.one(Z) if not d.crossings and d.loops == 1 else Laurent.zero(Z)
-    (piece,) = _connected_pieces(d)
+    (piece,) = split_pieces(d)
     word, strands = _checked_braid(piece)
     loops = []
     for i in range(1, strands):

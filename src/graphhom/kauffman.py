@@ -367,7 +367,7 @@ def family(g: GraphDiagram, cap: int = FAMILY_ASSIGNMENT_CAP) -> LinkFamily:
         link = apply_replacement(g, dict(enumerate(first)))
         if not (link.crossings or link.loops):
             continue
-        form = (link.crossings, link.loops, tuple(sorted(link.heads.items())))
+        form = link.exact_form()
         if form not in by_form:
             reduced = reduce_diagram(link)
             by_form[form] = groups.setdefault(reduced.canonical_key(), [link, reduced, 0])

@@ -13,8 +13,8 @@ quantum degree j = (#1 - #x) + r + n_plus - 2 n_minus.  Both are stored
 doubled like every other grading in this package, so the table keys are
 (2i, 2j).
 
-``khovanov_homology`` builds the cube over the crossings alone; each
-crossing-free loop then tensors the table with V = q + q^-1.
+``khovanov_homology`` builds the cube over the crossings alone, and
+``tensor_loops`` tensors the table with V = q + q^-1 once per loop.
 
 The graded Euler characteristic recovers the unnormalized Jones
 polynomial under q = -t^(1/2); helpers for both sides of that identity
@@ -43,13 +43,17 @@ def khovanov_homology(
 
     Over Z the table carries free ranks and torsion orders from Smith
     normal form, over F2 dimensions; ``coeffs`` is case-insensitive.  The
-    cube sees only the crossings, and every crossing-free loop then
-    tensors the table with V = q + q^-1: C(L u O) = C(L) (x) V with V
-    free, so Kunneth adds no Tor term over Z (Khovanov, arXiv:math/9908171).
+    cube sees only the crossings; ``tensor_loops`` adds the loops.
     """
     core = GraphDiagram(d.crossings, d.vertices, 0, d.heads)
-    dims = _cube_homology(core, coeffs.lower(), cap)
-    for _ in range(d.loops):
+    return tensor_loops(_cube_homology(core, coeffs.lower(), cap), d.loops)
+
+
+def tensor_loops(dims: BigradedDims, loops: int) -> BigradedDims:
+    """The table ``dims`` of a link L made that of L with ``loops`` split
+    unknots: C(L u O) = C(L) (x) V with V = q + q^-1 free, so Kunneth
+    adds no Tor term over Z (Khovanov, arXiv:math/9908171)."""
+    for _ in range(loops):
         up = BigradedDims({(i, j + 2): e for (i, j), e in dims.dims.items()})
         dims = up.add(BigradedDims({(i, j - 2): e for (i, j), e in dims.dims.items()}))
     return dims

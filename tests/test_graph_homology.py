@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import graphhom
-from graphhom import cli, floer, grid, invariants, kauffman
+from graphhom import cli, floer, grid, invariants, kauffman, khovanov
 from graphhom import graph_homology as gh
 from graphhom.bigraded import BigradedDims
 from graphhom.catalog import (
@@ -17,6 +17,7 @@ from graphhom.catalog import (
     handcuff,
     hopf_handcuff,
     theta,
+    trefoil_left,
     trefoil_right,
 )
 from graphhom.diagrams import GraphDiagram, connected_sum
@@ -25,10 +26,12 @@ from graphhom.graph_homology import (
     SKIP_CROSSINGS,
     SKIP_GRID,
     _weighted,
+    floer_fields,
     graph_homology,
 )
-from graphhom.grid import pd_to_grid, simplify_grid
+from graphhom.grid import pd_to_grid, piece_grids, simplify_grid
 from graphhom.kauffman import family
+from graphhom.khovanov import khovanov_homology
 from graphhom.laurent import Laurent, T
 from graphhom.moves import random_move_sequence
 from test_floer import total_rank
@@ -156,11 +159,12 @@ def knotted_k():
 
 
 def counted(monkeypatch, name, modules):
-    """Wrap ``name`` in each of ``modules``; the list of its arguments."""
+    """Wrap ``name`` in each of ``modules``; the list of its first
+    arguments."""
     calls = []
     for mod in modules:
         wrapped = getattr(mod, name)
-        monkeypatch.setattr(mod, name, lambda d, f=wrapped: calls.append(d) or f(d))
+        monkeypatch.setattr(mod, name, lambda d, *rest, f=wrapped, **kw: calls.append(d) or f(d, *rest, **kw))
     return calls
 
 
@@ -220,10 +224,15 @@ def test_invariants_reduces_once(monkeypatch, tmp_path, capsys):
     assert len(calls) == 1
 
 
+def holders(fn):
+    """Every graphhom module that holds ``fn`` under its own name."""
+    mods = [importlib.import_module(f"graphhom.{m.name}") for m in pkgutil.iter_modules(graphhom.__path__)]
+    return [m for m in mods if getattr(m, fn.__name__, None) is fn]
+
+
 def fingerprint_holders():
     """Every graphhom module that holds ``invariants.fingerprint``."""
-    mods = [importlib.import_module(f"graphhom.{m.name}") for m in pkgutil.iter_modules(graphhom.__path__)]
-    return [m for m in mods if getattr(m, "fingerprint", None) is invariants.fingerprint]
+    return holders(invariants.fingerprint)
 
 
 def test_g6_fingerprint_count(monkeypatch):
@@ -239,6 +248,67 @@ def test_k_floer_fingerprint_count(monkeypatch):
     calls = counted(monkeypatch, "fingerprint", fingerprint_holders())
     graph_homology(knotted_k(), khovanov=False)
     assert len(calls) == 3
+
+
+# The calls that members share within one ``graph_homology`` call.
+SHARED_CALLS = [
+    (grid, "_checked_braid"),
+    (floer, "hat_from_grid"),
+    (floer, "total_homology_from_grid"),
+    (khovanov, "_cube_homology"),
+    (invariants, "kauffman_bracket"),
+]
+
+
+def count_shared_calls(monkeypatch):
+    """name -> the calls of each of ``SHARED_CALLS``, wherever graphhom
+    holds it."""
+    return {name: counted(monkeypatch, name, holders(getattr(home, name))) for home, name in SHARED_CALLS}
+
+
+def g8_seed1():
+    return g8(1)
+
+
+@pytest.mark.parametrize(
+    "graph,want",
+    [
+        (g6, {"_checked_braid": 1, "hat_from_grid": 2, "total_homology_from_grid": 2,
+              "_cube_homology": 3, "kauffman_bracket": 18}),
+        (g8_seed1, {"_checked_braid": 1, "hat_from_grid": 2, "total_homology_from_grid": 2,
+                    "_cube_homology": 3, "kauffman_bracket": 24}),
+    ],
+    ids=["G6", "G8-seed1"],
+)
+def test_members_share_pieces_and_cores(monkeypatch, graph, want):
+    # G6's 8 members hold 17 split pieces, 7 of them Hopf links, of 2
+    # exact forms (a Hopf link and a loop), and 8 loop-free cores of 3.
+    # Each distinct piece is braided, checked and computed once, and
+    # each distinct core gets one cube; the brackets left are those of
+    # the family's fingerprints, the one braid check and each member's
+    # Jones check.
+    calls = count_shared_calls(monkeypatch)
+    report = graph_homology(graph())
+    assert {name: len(c) for name, c in calls.items()} == want
+    assert report.verdicts == {"floer_euler": "pass", "khovanov_euler": "pass"}
+
+
+def test_graph_homology_keeps_no_state_across_calls(monkeypatch):
+    calls = count_shared_calls(monkeypatch)
+    counts = []
+    for _ in range(2):
+        graph_homology(g6())
+        counts.append({name: len(c) for name, c in calls.items()})
+        for c in calls.values():
+            c.clear()
+    assert counts[0] == counts[1]
+    assert counts[0]["_checked_braid"] == 1
+    state = [
+        name
+        for name, value in vars(gh).items()
+        if not name.startswith("__") and (isinstance(value, (dict, list, set)) or hasattr(value, "cache_info"))
+    ]
+    assert state == []
 
 
 # sha256 of ``graph_homology(g, coeffs=c, multiset=m).to_json()`` dumped
@@ -310,3 +380,36 @@ def test_split_pieces_match_the_stacked_grid(graph):
         assert json.dumps(m.total_poincare.to_json()) == json.dumps(total.to_json())
         compared += 1
     assert compared == {"handcuff": 2, "hopf_handcuff": 2, "g6": 7}[graph.__name__]
+
+
+def two_trefoils():
+    """A theta with a right-handed trefoil on one edge and a left-handed
+    one on another: two members are mirror trefoils, pieces of one size
+    and one Alexander polynomial whose tables differ."""
+    return connected_sum(trefoil_right(), connected_sum(theta(), trefoil_left(), arc_a=2), arc_b=0)
+
+
+@pytest.mark.parametrize(
+    "graph", [handcuff, hopf_handcuff, g6, g8_seed1, two_trefoils, knotted_k], ids=lambda f: f.__name__
+)
+def test_shared_tables_match_each_member_alone(graph):
+    """Each member's tables, assembled from what the members share, equal
+    that member computed alone with nothing shared: the Floer fields from
+    a table per piece, Khovanov from the cube of its whole reduced
+    diagram.  K runs without Khovanov: its 11-crossing member takes over
+    a minute over Z."""
+    g = graph()
+    fam = family(g)
+    alone = [
+        floer_fields([{"grid": simplify_grid(p)} for p in piece_grids(fm.reduced)], fm.reduced)
+        for fm in fam.members
+    ]
+    with_khovanov = graph is not knotted_k
+    for coeffs in ("z", "f2") if with_khovanov else ("z",):
+        report = graph_homology(g, coeffs=coeffs, khovanov=with_khovanov)
+        assert len(report.members) == len(fam.members)
+        for fm, m, fields in zip(fam.members, report.members, alone):
+            assert m.fingerprint == fm.fingerprint
+            assert {name: getattr(m, name) for name in fields} == fields
+            if with_khovanov:
+                assert m.khovanov == khovanov_homology(fm.reduced, coeffs)

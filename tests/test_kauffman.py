@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import logging
+from collections import Counter
 
 import pytest
 
@@ -23,7 +24,7 @@ from graphhom.catalog import (
 )
 from graphhom.diagrams import GraphDiagram, connected_sum, disjoint_union, union_classes
 from graphhom.errors import CapExceeded, InvalidDiagram
-from graphhom.invariants import Fingerprint, fingerprint, reduce_diagram
+from graphhom.invariants import Fingerprint, alexander, fingerprint, jones, reduce_diagram
 from graphhom.kauffman import (
     apply_replacement,
     assignment_count,
@@ -338,6 +339,27 @@ def test_unlink_circles_match_apply_replacement(name, g):
 @pytest.mark.parametrize("name,g", ORACLE_POOL, ids=[n for n, _ in ORACLE_POOL])
 def test_family_matches_one_build_per_system(name, g):
     assert family(g).to_json() == per_system_family_json(g)
+
+
+def test_merged_links_share_oriented_polynomials():
+    """Each member's tables come from its first link, in that link's
+    orientation, so every nonempty built link that ``family`` folds into
+    the member, the one whose fingerprint its reduction has, must have
+    the first link's oriented Jones and Alexander polynomials."""
+    folds = []
+    for name, g in ORACLE_POOL:
+        members = {m.fingerprint.sort_key(): m for m in family(g).members}
+        built = {}
+        for _, first, _ in closed_pair_tuples(g):
+            link = apply_replacement(g, dict(enumerate(first)))
+            if link.crossings or link.loops:
+                built.setdefault(link.exact_form(), link)
+        folds += [(name, link, members[fingerprint(reduce_diagram(link)).sort_key()]) for link in built.values()]
+    # Some member merges two or more distinct built links.
+    assert max(Counter(id(m) for _, _, m in folds).values()) >= 2
+    for name, link, m in folds:
+        assert jones(link) == jones(m.diagram), name
+        assert alexander(link) == alexander(m.diagram), name
 
 
 @pytest.mark.parametrize(
