@@ -533,6 +533,11 @@ def disjoint_union(a: GraphDiagram, b: GraphDiagram) -> GraphDiagram:
     )
 
 
+def _put(crossings: List[List[int]], vertices: List[List[int]], e: Endpoint, arc: int) -> None:
+    kind, i, s = e
+    (crossings if kind == "x" else vertices)[i][s] = arc
+
+
 def connected_sum(
     a: GraphDiagram,
     b: GraphDiagram,
@@ -558,13 +563,8 @@ def connected_sum(
     ex, ey = d.heads[x], d.heads[y]
     crossings = [list(c) for c in d.crossings]
     vertices = [list(v) for v in d.vertices]
-
-    def put(e: Endpoint, arc: int) -> None:
-        kind, i, s = e
-        (crossings if kind == "x" else vertices)[i][s] = arc
-
-    put(ey, x)
-    put(ex, y)
+    _put(crossings, vertices, ey, x)
+    _put(crossings, vertices, ex, y)
     heads = dict(d.heads)
     heads[x] = ey
     heads[y] = ex

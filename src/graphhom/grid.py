@@ -129,57 +129,48 @@ def grid_union(a: GridDiagram, b: GridDiagram) -> GridDiagram:
 # -- destabilization -------------------------------------------------------------
 
 
-def _block_markers(g: GridDiagram, r: int, c: int) -> List[Tuple[int, int, str]]:
-    found = []
-    for t in (r, (r + 1) % g.n):
-        for u in (c, (c + 1) % g.n):
-            if g.X[t] == u:
-                found.append((t, u, "X"))
-            if g.O[t] == u:
-                found.append((t, u, "O"))
-    return found
+def _three_marker_blocks(g: GridDiagram) -> Dict[Tuple[int, int], int]:
+    """Top-left cell -> row t of each 2x2 block with three markers."""
+    n, blocks = g.n, {}
+    for t in range(n):
+        for c in (g.X[t], g.O[t]):
+            cols = {c, (c + 1) % n}
+            if cols == {g.X[t], g.O[t]}:
+                above, below = (t - 1) % n, (t + 1) % n
+                for r, s in ((above, above), (t, below)):
+                    if len(cols & {g.X[s], g.O[s]}) == 1:
+                        blocks[(r, c)] = t
+    return blocks
 
 
 def find_destabilization(g: GridDiagram) -> Optional[Tuple[int, int]]:
-    """Top-left cell of some 2x2 block holding exactly three markers."""
-    for r in range(g.n):
-        for c in range(g.n):
-            if len(_block_markers(g, r, c)) == 3:
-                return (r, c)
-    return None
+    """Top-left cell of the first 2x2 block in row-major order holding
+    three markers: row t's X and O in cyclically adjacent columns, and
+    one marker of a row next to t in those columns."""
+    return min(_three_marker_blocks(g), default=None)
 
 
 def destabilize(g: GridDiagram, r: int, c: int) -> GridDiagram:
-    """Collapse the three-marker block at (r, c) to a single marker."""
-    if (r + 1) % g.n != r + 1:
-        return destabilize(translate(g, 1, 0), 0, c)
-    if (c + 1) % g.n != c + 1:
-        return destabilize(translate(g, 0, 1), r, 0)
-    marks = _block_markers(g, r, c)
-    if len(marks) != 3:
-        raise InvalidDiagram([f"block at ({r}, {c}) has {len(marks)} markers, not 3"])
-    cells = {(t, u) for t, u, _ in marks}
-    (re, ce) = next(
-        (t, u) for t in (r, r + 1) for u in (c, c + 1) if (t, u) not in cells
-    )
-    rk, ck = r + r + 1 - re, c + c + 1 - ce
-    kinds = {(t, u): k for t, u, k in marks}
-    arm = kinds[(rk, ce)]
-    if arm != kinds[(re, ck)] or kinds[(rk, ck)] == arm:
-        raise InvalidDiagram(["destabilization block is not an L of equal arms"])
-    xs, os_ = [], []
-    for t in range(g.n):
-        if t == rk:
-            continue
-        row = {"X": g.X[t], "O": g.O[t]}
-        if t == re:
-            row[arm] = ce
-        xs.append(row["X"] - (row["X"] > ck))
-        os_.append(row["O"] - (row["O"] > ck))
-    return GridDiagram(g.n - 1, tuple(xs), tuple(os_))
+    """Collapse the three-marker block at (r, c) to one marker: delete
+    its row t holding two markers and merge columns c and c+1.  The lone
+    marker shares a column with one of row t's two, so it has the kind
+    of the other, and the merged column keeps one X and one O."""
+    n = g.n
+    if not (0 <= r < n and 0 <= c < n):
+        raise InvalidDiagram([f"block at ({r}, {c}) lies outside the {n} x {n} grid"])
+    t = _three_marker_blocks(g).get((r, c))
+    if t is None:
+        k = sum(m in (c, (c + 1) % n) for s in (r, (r + 1) % n) for m in (g.X[s], g.O[s]))
+        raise InvalidDiagram([f"block at ({r}, {c}) has {k} markers, not 3"])
+    dr, dc = r == n - 1, c == n - 1
+    if dr or dc:
+        return destabilize(translate(g, dr, dc), (r + dr) % n, (c + dc) % n)
+    keep = [s for s in range(n) if s != t]
+    return GridDiagram(n - 1, *(tuple(p[s] - (p[s] > c) for s in keep) for p in (g.X, g.O)))
 
 
-def _spans_commute(a1: int, b1: int, a2: int, b2: int) -> bool:
+def _spans_commute(p: Tuple[int, int], q: Tuple[int, int]) -> bool:
+    (a1, b1), (a2, b2) = sorted(p), sorted(q)
     disjoint = b1 < a2 or b2 < a1
     nested = (a1 < a2 and b2 < b1) or (a2 < a1 and b1 < b2)
     return disjoint or nested
@@ -187,11 +178,7 @@ def _spans_commute(a1: int, b1: int, a2: int, b2: int) -> bool:
 
 def commute_rows(g: GridDiagram, r: int) -> Optional[GridDiagram]:
     """Swap rows r and r+1 when their column spans are nested or disjoint."""
-    if not 0 <= r < g.n - 1:
-        return None
-    s1 = sorted((g.X[r], g.O[r]))
-    s2 = sorted((g.X[r + 1], g.O[r + 1]))
-    if not _spans_commute(s1[0], s1[1], s2[0], s2[1]):
+    if not (0 <= r < g.n - 1 and _spans_commute((g.X[r], g.O[r]), (g.X[r + 1], g.O[r + 1]))):
         return None
     xs, os_ = list(g.X), list(g.O)
     xs[r], xs[r + 1] = xs[r + 1], xs[r]
@@ -201,10 +188,10 @@ def commute_rows(g: GridDiagram, r: int) -> Optional[GridDiagram]:
 
 def commute_cols(g: GridDiagram, c: int) -> Optional[GridDiagram]:
     """Swap columns c and c+1 when their row spans are nested or disjoint."""
-    if not 0 <= c < g.n - 1:
+    if not (0 <= c < g.n - 1 and _spans_commute(*((g.X.index(u), g.O.index(u)) for u in (c, c + 1)))):
         return None
-    swapped = commute_rows(transpose(g), c)
-    return None if swapped is None else transpose(swapped)
+    swap = {c: c + 1, c + 1: c}
+    return GridDiagram(g.n, *(tuple(swap.get(m, m) for m in p) for p in (g.X, g.O)))
 
 
 def simplify_grid(g: GridDiagram) -> GridDiagram:

@@ -14,9 +14,9 @@ slot tuple then reads counterclockwise from that ray.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
-from .diagrams import Dart, Endpoint, GraphDiagram, splice_crossing
+from .diagrams import Dart, Endpoint, GraphDiagram, _put, splice_crossing
 from .errors import PatternMismatch
 
 _RAYS_CCW = {
@@ -61,11 +61,6 @@ def _orbit_of(d: GraphDiagram, dart: Dart) -> Tuple[Dart, ...]:
         if dart in face:
             return face
     raise PatternMismatch(f"dart {dart} is not a face corner of the diagram")
-
-
-def _put(crossings: List[List[int]], vertices: List[List[int]], e: Endpoint, arc: int) -> None:
-    kind, i, s = e
-    (crossings if kind == "x" else vertices)[i][s] = arc
 
 
 # -- R1: kink ------------------------------------------------------------------
@@ -195,15 +190,24 @@ def _r2_remove(d: GraphDiagram, dart: Dart) -> GraphDiagram:
 
 # -- R3: slide past a crossing -------------------------------------------------
 
-def _r3(d: GraphDiagram, dart: Dart) -> Tuple[GraphDiagram, Dart]:
-    orbit = _orbit_of(d, dart)
+def _triangle_crossings(orbit: Tuple[Dart, ...]) -> Set[int]:
+    """The three crossings of a triangle face where R3 applies, given as
+    its orbit: one strand must pass uniformly over or under it."""
     if len(orbit) != 3:
-        raise PatternMismatch(f"face of {dart} is not a triangle")
+        raise PatternMismatch(f"face {orbit} is not a triangle")
     if any(k != "x" for k, _, _ in orbit):
         raise PatternMismatch("triangle corners must all be crossings")
     xs = {i for _, i, _ in orbit}
     if len(xs) != 3:
         raise PatternMismatch("triangle touches some crossing twice")
+    if not any(orbit[k][2] % 2 == (orbit[(k + 1) % 3][2] - 1) % 2 for k in range(3)):
+        raise PatternMismatch("no strand passes uniformly over or under the triangle")
+    return xs
+
+
+def _r3(d: GraphDiagram, dart: Dart) -> Tuple[GraphDiagram, Dart]:
+    orbit = _orbit_of(d, dart)
+    xs = _triangle_crossings(orbit)
     strands = []
     for k in range(3):
         _, xi, si = orbit[k]
@@ -213,8 +217,6 @@ def _r3(d: GraphDiagram, dart: Dart) -> Tuple[GraphDiagram, Dart]:
         if d.heads[m] == ("x", xi, si):
             xi, si, xj, sj = xj, sj, xi, si  # list tail crossing first
         strands.append((m, xi, si, d.crossings[xi][(si + 2) % 4], xj, sj))
-    if not any(si % 2 == sj % 2 for _, _, si, _, _, sj in strands):
-        raise PatternMismatch("no strand passes uniformly over or under the triangle")
     writes: Dict[Tuple[int, int], int] = {}
     mid_slots: Dict[Tuple[int, int], int] = {}
     heads = dict(d.heads)
@@ -526,15 +528,12 @@ def legal_sites(d: GraphDiagram, kinds: Optional[set] = None) -> List[MoveSite]:
             elif ks == ["v", "x"] and want("R5"):
                 sites.append(MoveSite("R5", False, (f[0],)))
         if len(f) == 3 and want("R3"):
-            if all(k == "x" for k, _, _ in f) and len({i for _, i, _ in f}) == 3:
-                strands_ok = False
-                for k in range(3):
-                    s1 = f[k][2]
-                    s2 = (f[(k + 1) % 3][2] - 1) % 4
-                    if s1 % 2 == s2 % 2:
-                        strands_ok = True
-                if strands_ok:
-                    sites.append(MoveSite("R3", True, (f[0],)))
+            try:
+                _triangle_crossings(f)
+            except PatternMismatch:
+                pass
+            else:
+                sites.append(MoveSite("R3", True, (f[0],)))
         if want("R2"):
             for da in f:
                 for db in f:

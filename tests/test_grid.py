@@ -1,5 +1,6 @@
 """Grid presentations: moves, simplification, and braid-based conversion."""
 
+import hashlib
 import json
 import random
 from functools import reduce
@@ -34,10 +35,12 @@ from graphhom.grid import (
     pd_to_grid,
     piece_grids,
     simplify_grid,
+    split_pieces,
     translate,
     transpose,
 )
 from graphhom.invariants import fingerprint, jones, reduce_diagram
+from graphhom.kauffman import family
 
 UNKNOT_GRID = GridDiagram(2, (1, 0), (0, 1))
 
@@ -293,6 +296,164 @@ def test_destabilize_handles_wraparound():
     pos = find_destabilization(st)
     assert pos is not None
     assert destabilize(st, *pos).n == 2
+
+
+def test_destabilize_rejects_blocks_outside_the_grid():
+    g = GridDiagram(4, (1, 2, 3, 0), (0, 1, 2, 3))
+    for r, c in ((4, 0), (-2, -2), (0, 4), (-1, 3)):
+        with pytest.raises(InvalidDiagram, match=rf"block at \({r}, {c}\) lies outside the 4 x 4 grid"):
+            destabilize(g, r, c)
+
+
+def test_destabilize_rejects_blocks_without_three_markers():
+    g = GridDiagram(4, (1, 2, 3, 0), (0, 1, 2, 3))
+    with pytest.raises(InvalidDiagram, match=r"block at \(0, 2\) has 1 markers, not 3"):
+        destabilize(g, 0, 2)
+    # A block that wraps is named as the caller gave it, not as shifted.
+    with pytest.raises(InvalidDiagram, match=r"block at \(3, 1\) has 1 markers, not 3"):
+        destabilize(g, 3, 1)
+    with pytest.raises(InvalidDiagram, match=r"block at \(0, 0\) has 4 markers, not 3"):
+        destabilize(UNKNOT_GRID, 0, 0)
+
+
+# -- references: the block scan and transposed commutation they replaced ------
+
+
+def ref_block_markers(g, r, c):
+    found = []
+    for t in (r, (r + 1) % g.n):
+        for u in (c, (c + 1) % g.n):
+            if g.X[t] == u:
+                found.append((t, u, "X"))
+            if g.O[t] == u:
+                found.append((t, u, "O"))
+    return found
+
+
+def ref_find_destabilization(g):
+    for r in range(g.n):
+        for c in range(g.n):
+            if len(ref_block_markers(g, r, c)) == 3:
+                return (r, c)
+    return None
+
+
+def ref_destabilize(g, r, c):
+    if (r + 1) % g.n != r + 1:
+        return ref_destabilize(translate(g, 1, 0), 0, c)
+    if (c + 1) % g.n != c + 1:
+        return ref_destabilize(translate(g, 0, 1), r, 0)
+    marks = ref_block_markers(g, r, c)
+    if len(marks) != 3:
+        raise InvalidDiagram([f"block at ({r}, {c}) has {len(marks)} markers, not 3"])
+    cells = {(t, u) for t, u, _ in marks}
+    (re, ce) = next((t, u) for t in (r, r + 1) for u in (c, c + 1) if (t, u) not in cells)
+    rk, ck = r + r + 1 - re, c + c + 1 - ce
+    kinds = {(t, u): k for t, u, k in marks}
+    arm = kinds[(rk, ce)]
+    if arm != kinds[(re, ck)] or kinds[(rk, ck)] == arm:
+        raise InvalidDiagram(["destabilization block is not an L of equal arms"])
+    xs, os_ = [], []
+    for t in range(g.n):
+        if t == rk:
+            continue
+        row = {"X": g.X[t], "O": g.O[t]}
+        if t == re:
+            row[arm] = ce
+        xs.append(row["X"] - (row["X"] > ck))
+        os_.append(row["O"] - (row["O"] > ck))
+    return GridDiagram(g.n - 1, tuple(xs), tuple(os_))
+
+
+def ref_commute_cols(g, c):
+    if not 0 <= c < g.n - 1:
+        return None
+    swapped = commute_rows(transpose(g), c)
+    return None if swapped is None else transpose(swapped)
+
+
+def random_grid(rng, n):
+    xs = list(range(n))
+    rng.shuffle(xs)
+    while True:
+        os_ = list(range(n))
+        rng.shuffle(os_)
+        if all(a != b for a, b in zip(xs, os_)):
+            return GridDiagram(n, tuple(xs), tuple(os_))
+
+
+def reference_pool():
+    """Random grids with n = 2..9, and stabilized ones shifted so their
+    three-marker block wraps around an edge."""
+    rng = random.Random(27)
+    pool = [random_grid(rng, rng.randint(2, 9)) for _ in range(400)]
+    for _ in range(100):
+        g = random_grid(rng, rng.randint(2, 8))
+        st = stabilize(g, rng.randrange(g.n), rng.random() < 0.5, rng.random() < 0.5)
+        pool.append(translate(st, rng.randrange(st.n), rng.randrange(st.n)))
+    return pool
+
+
+def test_grid_moves_match_the_block_scan_references():
+    wrapped = 0
+    for g in reference_pool():
+        assert find_destabilization(g) == ref_find_destabilization(g)
+        for r in range(g.n):
+            for c in range(g.n):
+                k = len(ref_block_markers(g, r, c))
+                if k != 3:
+                    with pytest.raises(InvalidDiagram, match=rf"block at \({r}, {c}\) has {k} markers, not 3"):
+                        destabilize(g, r, c)
+                    continue
+                assert destabilize(g, r, c) == ref_destabilize(g, r, c)
+                wrapped += r == g.n - 1 or c == g.n - 1
+        for c in range(-1, g.n + 1):
+            assert commute_cols(g, c) == ref_commute_cols(g, c)
+    assert wrapped >= 50
+
+
+# (braid word, strands) of the benchmark's floer-links cases.
+FLOER_LINK_BRAIDS = [
+    ([1, -2, 1, -2], 3),
+    ([1] * 5, 2),
+    ([1, 2] * 4, 3),
+    ([1, 1, 1, 2, -1, 2], 3),
+    ([1, -2] * 3, 3),
+    ([1] * 7, 2),
+    ([1, -2] * 6, 3),
+]
+
+
+# sha256 of the simplified grids' JSON, recorded with the n^2 block-scan
+# search that ``_three_marker_blocks`` replaced.
+BRAIDS_DIGEST = "461c88294faf6b8b154ef7cdfabfbfaa252806f5143b645c9804fa3bf9c3f90d"
+KNOTTED_DIGEST = "bf3de2159ddf55cd4348c3d15ee955963c31a0da041c64394144a30ea96a32ed"
+RANDOM_DIGEST = "b349ea89818b738676dacb56930447f1a22cc6f276ea84e840d10a431deddade"
+
+
+def simplify_digest(grids):
+    outs = [simplify_grid(g).to_json() for g in grids]
+    return hashlib.sha256(json.dumps(outs).encode()).hexdigest()
+
+
+def test_simplify_grid_output_is_pinned():
+    from test_graph_homology import knotted_k
+
+    braids = []
+    for seed in range(1, 8):
+        rng = random.Random(seed)
+        for word, strands in FLOER_LINK_BRAIDS:
+            k = rng.randrange(len(word))
+            braids.append(pd_to_grid(braid_closure(word[k:] + word[:k], strands)))
+    knotted = [
+        piece_grids(p)[0] for m in family(knotted_k()).members for p in split_pieces(m.reduced) if p.crossings
+    ]
+    assert [g.n for g in knotted] == [19, 25]
+    rng = random.Random(27)
+    randoms = [random_grid(rng, rng.randint(2, 9)) for _ in range(300)]
+    assert [simplify_digest(gs) for gs in (braids, knotted, randoms)] == [
+        BRAIDS_DIGEST, KNOTTED_DIGEST, RANDOM_DIGEST
+    ]
 
 
 def test_commutation_legality():

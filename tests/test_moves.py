@@ -336,6 +336,40 @@ def test_g6_scramble_stream_is_pinned():
     assert len(family(d).members) == 8
 
 
+def scrambles():
+    from test_kauffman import g6_base_scrambled, g8
+
+    return [g6_base_scrambled(seed) for seed in range(1, 8)] + [g8(seed) for seed in range(1, 8)]
+
+
+def test_legal_sites_on_the_g6_and_g8_scrambles_are_pinned():
+    """The G6 and G8 scrambles at seeds 1-7 hold 82 triangle faces, two of
+    them R3 sites; the digest was recorded before R3 had one recognizer."""
+    sites = repr([legal_sites(d) for d in scrambles()])
+    digest = hashlib.sha256(sites.encode()).hexdigest()
+    assert digest == "2a5a3b91b4899352216be969e75bd112f2f6b8a7d52100b6dca621228e7be680"
+
+
+def test_r3_sites_are_the_triangles_r3_applies_to():
+    words = [([1, 2, 1], 3), ([1, -2] * 3, 3), ([1, 1, 2, -1, 2, 2], 3), ([1, 2, 3] * 3, 4)]
+    closures = [braid_closure(w, k) for w, k in words]
+    triangles = applied = 0
+    for d in closures + scrambles():
+        listed = {s.params[0] for s in legal_sites(d, kinds={"R3"})}
+        for f in d.faces():
+            if len(f) != 3:
+                continue
+            triangles += 1
+            try:
+                _r3(d, f[0])
+            except PatternMismatch:
+                assert f[0] not in listed
+                continue
+            assert f[0] in listed
+            applied += 1
+    assert triangles >= 100 and applied >= 3
+
+
 def test_legal_sites_all_apply():
     for d in (trefoil_right(), handcuff(), theta()):
         for s in legal_sites(d):
