@@ -35,10 +35,12 @@ grading the remaining rows can still add, and the walk drops every
 prefix that cannot reach A >= 0.  The walk also gives each generator an
 integer code with s bits per row, so a rectangle's target, which swaps
 two rows, is its source's code plus a precomputed difference, found
-with one dict lookup.  Rectangles starting at a row are found by one
-upward sweep that carries the narrowest column offset seen so far,
-which decides emptiness without rescanning the rows inside, and a
-table of the widest marker-free width per corner and length, which
+with one dict lookup.  Codes and gradings are returned as typed arrays,
+one word per generator each, which ``block_homology`` reads once; no
+tuple or list per generator is kept.  Rectangles starting at a row are
+found by one upward sweep that carries the narrowest column offset seen
+so far, which decides emptiness without rescanning the rows inside, and
+a table of the widest marker-free width per corner and length, which
 ends the sweep where every longer rectangle holds a marker.
 
 Homology, with its d^2 = 0 check, is taken by ``linalg.block_homology``,
@@ -51,6 +53,7 @@ against the skein recursion.
 from __future__ import annotations
 
 import math
+from array import array
 from itertools import permutations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -132,15 +135,16 @@ def _best_gain(da: List[List[int]], unused) -> List[int]:
 
 
 def _generators(g: GridDiagram, top_half: bool = False):
-    """Integer codes and doubled gradings of the generators, in
-    ``itertools.permutations`` order.
+    """Integer codes and doubled Maslov and Alexander gradings of the
+    generators, in ``itertools.permutations`` order, as three arrays.
 
     One walk over the rows lists them, prefix by prefix: placing row r at
     column c adds the corner tables' entries at (c, r) to the O and X
     marker counts, and the number of columns left of c already used by
     lower rows to the count of point pairs.  Each prefix is built once
     and shared by every generator that extends it.  The code of a
-    generator x is sum of x[r] * 2^(s r), with s = ``_row_bits(n)``.
+    generator x is sum of x[r] * 2^(s r), with s = ``_row_bits(n)``; it
+    fits the codes' 64-bit words up to n = 16.
 
     With ``top_half`` only the generators of Alexander grading a2 >= 0
     are listed: a prefix is dropped as soon as its a2 plus the largest
@@ -177,12 +181,13 @@ def _generators(g: GridDiagram, top_half: bool = False):
         ]
         if best is not None:
             level = [p for p in level if p[3] + best[p[0]] >= 0]
-    codes = [code for _used, code, _m2, _a2 in level]
-    grads = [(m2, a2) for _used, _code, m2, a2 in level]
-    return codes, grads
+    codes = array("Q", [code for _used, code, _m2, _a2 in level])
+    m2s = array("i", [m2 for _used, _code, m2, _a2 in level])
+    a2s = array("i", [a2 for _used, _code, _m2, a2 in level])
+    return codes, m2s, a2s
 
 
-def _decode(n: int, codes: List[int]) -> List[Tuple[int, ...]]:
+def _decode(n: int, codes: Iterable[int]) -> List[Tuple[int, ...]]:
     """The generators, as column tuples, with the given codes."""
     shift = _row_bits(n)
     mask = (1 << shift) - 1
@@ -190,7 +195,8 @@ def _decode(n: int, codes: List[int]) -> List[Tuple[int, ...]]:
 
 
 def _complex(g: GridDiagram, block_x: bool, top_half: bool = False):
-    """Doubled gradings of the generators and their rectangle edges.
+    """Doubled Maslov and Alexander gradings of the generators, as two
+    arrays, and their rectangle edges.
 
     ``top_half`` lists only the generators with a2 >= 0 (see
     ``_generators``).  It needs ``block_x``: a rectangle that avoids
@@ -198,7 +204,7 @@ def _complex(g: GridDiagram, block_x: bool, top_half: bool = False):
     stays inside the slice, which is then a direct summand.
     """
     n = g.n
-    codes, grads = _generators(g, top_half)
+    codes, m2s, a2s = _generators(g, top_half)
     xs = _decode(n, codes) if top_half else permutations(range(n))
     blocked = _cell_masks(n, g.O)
     if block_x:
@@ -206,10 +212,10 @@ def _complex(g: GridDiagram, block_x: bool, top_half: bool = False):
         blocked = [
             [bo | bx for bo, bx in zip(ro, rx)] for ro, rx in zip(blocked, xmasks)
         ]
-    return grads, _rectangles(n, xs, codes, blocked)
+    return m2s, a2s, _rectangles(n, xs, codes, blocked)
 
 
-def _rectangles(n: int, xs: Iterable[Sequence[int]], codes: List[int], blocked: List[List[int]]):
+def _rectangles(n: int, xs: Iterable[Sequence[int]], codes: Sequence[int], blocked: List[List[int]]):
     """Rectangle edges (i, j, 1) between the generators ``xs``, whose
     codes are ``codes``; every target must be among them.
 
@@ -269,8 +275,8 @@ def _rectangles(n: int, xs: Iterable[Sequence[int]], codes: List[int], blocked: 
 def tilde_homology(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
     """Homology of the fully blocked rectangle complex, (M, A)-bigraded."""
     _require_cap(g.n, cap)
-    grads, edges = _complex(g, block_x=True)
-    table = block_homology(grads, edges, lambda k: (k[0] - 2, k[1]), "f2")
+    m2s, a2s, edges = _complex(g, block_x=True)
+    table = block_homology(zip(m2s, a2s), edges, lambda k: (k[0] - 2, k[1]), "f2")
     return BigradedDims(table)
 
 
@@ -285,8 +291,8 @@ def hat_from_grid(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> BigradedDims:
     """
     if g.n > cap:
         raise CapExceeded(f"grid size {g.n} is over the cap {cap}", detail={"n": g.n})
-    grads, edges = _complex(g, block_x=True, top_half=True)
-    table = block_homology(grads, edges, lambda k: (k[0] - 2, k[1]), "f2")
+    m2s, a2s, edges = _complex(g, block_x=True, top_half=True)
+    table = block_homology(zip(m2s, a2s), edges, lambda k: (k[0] - 2, k[1]), "f2")
     top = _deconvolve_top({k: r for k, (r, _t) in table.items()}, g.n - g.component_count())
     ranks = dict(top)
     for (m2, a2), r in top.items():
@@ -328,8 +334,8 @@ def total_homology_from_grid(g: GridDiagram, cap: int = FLOER_GRID_CAP) -> Laure
     (u^(1/2) + u^(-1/2))^(l-1) regardless of the link type.
     """
     _require_cap(g.n, cap)
-    grads, edges = _complex(g, block_x=False)
-    table = block_homology([m2 for m2, _a2 in grads], edges, lambda m2: m2 - 2, "f2")
+    m2s, _a2s, edges = _complex(g, block_x=False)
+    table = block_homology(m2s, edges, lambda m2: m2 - 2, "f2")
     poly = Laurent(U, {(m2,): r for m2, (r, _t) in table.items()})
     power = g.n - g.component_count()
     return exact_divide(poly, _W_TOTAL ** power, require_nonnegative=True)

@@ -17,6 +17,7 @@ The braid word also gives ``conway`` the Conway polynomial through a
 Seifert matrix; the tests hold it against a skein recursion.
 """
 
+from collections import deque
 from dataclasses import dataclass
 from functools import reduce
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -102,20 +103,6 @@ def translate(g: GridDiagram, dr: int, dc: int) -> GridDiagram:
     return GridDiagram(n, tuple(xs), tuple(os_))
 
 
-def transpose(g: GridDiagram) -> GridDiagram:
-    """Reflect across the main diagonal.
-
-    The reflection mirrors the picture but also trades the over strand
-    for the under one, so the two flips cancel: the link is unchanged,
-    with every component reversed.
-    """
-    xs, os_ = [0] * g.n, [0] * g.n
-    for r in range(g.n):
-        xs[g.X[r]] = r
-        os_[g.O[r]] = r
-    return GridDiagram(g.n, tuple(xs), tuple(os_))
-
-
 def grid_union(a: GridDiagram, b: GridDiagram) -> GridDiagram:
     """Block-diagonal sum presenting the split union of the two links."""
     shift = a.n
@@ -176,43 +163,61 @@ def _spans_commute(p: Tuple[int, int], q: Tuple[int, int]) -> bool:
     return disjoint or nested
 
 
+_Markers = Tuple[Tuple[int, ...], Tuple[int, ...]]
+
+
+def _swap_rows(xs: Tuple[int, ...], os_: Tuple[int, ...], r: int) -> Optional[_Markers]:
+    """X and O with rows r and r+1 swapped, when their column spans are
+    nested or disjoint."""
+    if not (0 <= r < len(xs) - 1 and _spans_commute((xs[r], os_[r]), (xs[r + 1], os_[r + 1]))):
+        return None
+    return xs[:r] + (xs[r + 1], xs[r]) + xs[r + 2:], os_[:r] + (os_[r + 1], os_[r]) + os_[r + 2:]
+
+
+def _swap_cols(xs: Tuple[int, ...], os_: Tuple[int, ...], c: int) -> Optional[_Markers]:
+    """X and O with columns c and c+1 swapped, when their row spans are
+    nested or disjoint."""
+    if not (0 <= c < len(xs) - 1 and _spans_commute(*((xs.index(u), os_.index(u)) for u in (c, c + 1)))):
+        return None
+    swap = {c: c + 1, c + 1: c}
+    return tuple(swap.get(m, m) for m in xs), tuple(swap.get(m, m) for m in os_)
+
+
 def commute_rows(g: GridDiagram, r: int) -> Optional[GridDiagram]:
     """Swap rows r and r+1 when their column spans are nested or disjoint."""
-    if not (0 <= r < g.n - 1 and _spans_commute((g.X[r], g.O[r]), (g.X[r + 1], g.O[r + 1]))):
-        return None
-    xs, os_ = list(g.X), list(g.O)
-    xs[r], xs[r + 1] = xs[r + 1], xs[r]
-    os_[r], os_[r + 1] = os_[r + 1], os_[r]
-    return GridDiagram(g.n, tuple(xs), tuple(os_))
+    swapped = _swap_rows(g.X, g.O, r)
+    return None if swapped is None else GridDiagram(g.n, *swapped)
 
 
 def commute_cols(g: GridDiagram, c: int) -> Optional[GridDiagram]:
     """Swap columns c and c+1 when their row spans are nested or disjoint."""
-    if not (0 <= c < g.n - 1 and _spans_commute(*((g.X.index(u), g.O.index(u)) for u in (c, c + 1)))):
-        return None
-    swap = {c: c + 1, c + 1: c}
-    return GridDiagram(g.n, *(tuple(swap.get(m, m) for m in p) for p in (g.X, g.O)))
+    swapped = _swap_cols(g.X, g.O, c)
+    return None if swapped is None else GridDiagram(g.n, *swapped)
 
 
 def simplify_grid(g: GridDiagram) -> GridDiagram:
     """Greedy destabilization; commutations are searched breadth-first at
-    fixed size until one exposes a destabilization, so n never increases."""
+    fixed size until one exposes a destabilization, so n never increases.
+    A commutation's markers are looked up among those already seen
+    before a grid is built from them."""
     while True:
         pos = find_destabilization(g)
         if pos is not None:
             g = destabilize(g, *pos)
             continue
-        frontier = [g]
+        frontier = deque([g])
         seen = {(g.X, g.O)}
         unlocked = None
         while frontier and unlocked is None and len(seen) < SIMPLIFY_SEARCH_CAP:
-            state = frontier.pop(0)
-            for trial in [commute_rows(state, r) for r in range(state.n - 1)] + [
-                commute_cols(state, c) for c in range(state.n - 1)
+            state = frontier.popleft()
+            xs, os_ = state.X, state.O
+            for swapped in [_swap_rows(xs, os_, r) for r in range(state.n - 1)] + [
+                _swap_cols(xs, os_, c) for c in range(state.n - 1)
             ]:
-                if trial is None or (trial.X, trial.O) in seen:
+                if swapped is None or swapped in seen:
                     continue
-                seen.add((trial.X, trial.O))
+                seen.add(swapped)
+                trial = GridDiagram(state.n, *swapped)
                 if find_destabilization(trial) is not None:
                     unlocked = trial
                     break

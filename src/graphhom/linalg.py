@@ -6,12 +6,17 @@ exact; nothing here floats.  ``block_homology`` takes the homology of a
 block-graded chain complex over either ring; both homology flavors of
 the package go through it.
 
-``block_homology`` keeps the differential sparse: each generator's row
-is an array of target positions, plus one of coefficients over Z.  It
+``block_homology`` keeps the complex in flat typed arrays: each
+generator's block id and position within its block, and each block's
+entries as source position, target position and, over Z, coefficient.
+No Python object per generator outlives the reading of the input.  It
 walks the blocks along the differential and builds a block's bitsets or
-dense rows only when the walk reaches it, so at most two blocks are
-held in matrix form at once.  ``f2_mul``, behind the F2 d∘d check, reads
-its left factor as sparse rows and does one XOR per nonzero entry.
+dense rows only when the walk reaches it.  Over F2 the rows serve the
+d∘d check of the block before and are then consumed by ``f2_rank``, so
+one block is held in matrix form at a time, plus the pivots; over Z a
+block's dense rows and the next block's are held together for the
+check.  ``f2_mul``, behind the F2 d∘d check, reads its left factor as
+those entries and does one XOR per nonzero entry.
 
 Differentials are mostly zeros, so the integer loops that run per
 entry skip them: ``int_mul``, behind the Z d∘d check, multiplies over
@@ -32,11 +37,15 @@ from .errors import InvalidDiagram
 
 # -- GF(2) ------------------------------------------------------------------
 
-def f2_rank(rows: Sequence[int]) -> int:
-    """Rank by elimination on the highest set bit, keyed by bit length."""
+def f2_rank(rows: List[int]) -> int:
+    """Rank by elimination on the highest set bit, keyed by bit length.
+
+    Consumes ``rows``: each is read in order and its slot set to 0, so
+    only the pivots outlive the elimination."""
     lead: dict[int, int] = {}
     rank = 0
-    for r in rows:
+    for i, r in enumerate(rows):
+        rows[i] = 0
         while r:
             pivot = lead.get(r.bit_length())
             if pivot is None:
@@ -47,16 +56,17 @@ def f2_rank(rows: Sequence[int]) -> int:
     return rank
 
 
-def f2_mul(a_rows: Sequence[Iterable[int]], b_rows: Sequence[int]) -> List[int]:
-    """Product of a sparse matrix and a bitset matrix: ``a_rows[i]``
-    lists the columns of row i's nonzero entries, and row i of the result
-    is the XOR of the b-rows they select.  A column listed twice cancels."""
-    out = []
-    for a in a_rows:
-        acc = 0
-        for j in a:
-            acc ^= b_rows[j]
-        out.append(acc)
+def f2_mul(
+    a_entries: Iterable[Tuple[int, int]], a_height: int, b_rows: Sequence[int]
+) -> List[int]:
+    """Product of a sparse matrix and a bitset matrix: ``a_entries``
+    lists the (row, column) pairs of the nonzero entries of the left
+    factor, which has ``a_height`` rows, in any order, and row i of the
+    result is the XOR of the b-rows that row i's entries select.  An
+    entry listed twice cancels."""
+    out = [0] * a_height
+    for i, j in a_entries:
+        out[i] ^= b_rows[j]
     return out
 
 
@@ -182,26 +192,30 @@ def smith_invariant_factors(matrix: Sequence[Sequence[int]]) -> List[int]:
 # -- homology -----------------------------------------------------------------
 
 def block_homology(
-    keys: Sequence[Hashable],
+    keys: Iterable[Hashable],
     edges: Iterable[Tuple[int, int, int]],
     target: Callable[[Hashable], Hashable],
     ring: str,
 ) -> Dict[Hashable, Tuple[int, Tuple[int, ...]]]:
     """Homology of a chain complex split into blocks, over ``"f2"`` or ``"z"``.
 
-    Generator i sits in block ``keys[i]``; ``edges`` yields each
-    differential entry ``(i, j, coeff)`` from generator i to generator j
-    once, and the differential maps block k into block ``target(k)``,
-    a one-to-one map.  Returns block -> (free rank, torsion orders) for
+    Generator i sits in the block named by the i-th key; ``keys`` is read
+    once, before ``edges``.  ``edges`` yields each differential entry
+    ``(i, j, coeff)`` from generator i to generator j once, in any order,
+    and the differential maps block k into block ``target(k)``, a
+    one-to-one map.  Returns block -> (free rank, torsion orders) for
     every block with nonzero homology.  Over Z one Smith form per matrix
     gives both its rank and the torsion it leaves in its target block.
 
     The blocks that carry entries form chains and cycles under
     ``target``.  The walk follows each chain from its head, and then each
-    cycle from any block: it builds block k's matrix, takes its rank,
-    builds the next block's matrix for the d∘d check of k, and drops
-    k's matrix.  A cycle builds its first block's matrix a second time
-    for the check that closes it.
+    cycle from any block.  Over F2 it builds block k's bitset rows once:
+    they serve the d∘d check of the block before k, and then ``f2_rank``
+    consumes them, so one block's rows and their pivots are held at a
+    time.  Over Z it builds block k's dense rows, takes their Smith form,
+    builds the next block's rows for the d∘d check of k, and drops k's.
+    A cycle builds its first block's matrix a second time for the check
+    that closes it.
 
     Raises ``ValueError`` for a ring name other than ``"f2"`` or
     ``"z"``, and ``InvalidDiagram`` when an entry leaves the target
@@ -211,56 +225,64 @@ def block_homology(
         raise ValueError(f"unknown coefficient ring {ring!r}; use 'z' or 'f2'")
     f2 = ring == "f2"
     ids: Dict[Hashable, int] = {}
-    block = [ids.setdefault(k, len(ids)) for k in keys]
-    members: List[List[int]] = [[] for _ in ids]
-    pos: List[int] = []
-    for i, b in enumerate(block):
-        pos.append(len(members[b]))
-        members[b].append(i)
+    sizes: List[int] = []
+    block = array("i")  # block id of each generator
+    pos = array("I")  # its position within the block
+    for k in keys:
+        b = ids.setdefault(k, len(sizes))
+        if b == len(sizes):
+            sizes.append(0)
+        block.append(b)
+        pos.append(sizes[b])
+        sizes[b] += 1
     names = list(ids)
     nxt = [ids.get(target(k), -1) for k in names]
 
-    # One row of target positions per generator, and over Z one row of
-    # coefficients beside it, each within a signed 64-bit word (array
-    # raises OverflowError past it).  Over F2 an even coefficient is no
-    # entry.
-    cols = [array("I") for _ in keys]
-    vals = None if f2 else [array("q") for _ in keys]
+    # Block b's entries as source position, target position and, over Z,
+    # coefficient, each within a signed 64-bit word (array raises
+    # OverflowError past it).  Over F2 an even coefficient is no entry.
+    # The grid complex yields its entries grouped by source, so what
+    # depends on the source alone is looked up once per run of entries.
+    src = [array("I") for _ in names]
+    dst = [array("I") for _ in names]
+    val = None if f2 else [array("q") for _ in names]
+    last = None
     for i, j, coeff in edges:
-        b = block[i]
-        if block[j] != nxt[b]:
-            raise InvalidDiagram([f"differential entry leaves block {names[b]} for {keys[j]}"])
+        if i != last:
+            last, b, at = i, block[i], pos[i]
+            t = nxt[b]
+            add_src, add_dst = src[b].append, dst[b].append
+        if block[j] != t:
+            raise InvalidDiagram(
+                [f"differential entry leaves block {names[b]} for {names[block[j]]}"]
+            )
         if f2:
             if coeff % 2:
-                cols[i].append(pos[j])
+                add_src(at)
+                add_dst(pos[j])
         else:
-            cols[i].append(pos[j])
-            vals[i].append(coeff)
+            add_src(at)
+            add_dst(pos[j])
+            val[b].append(coeff)
 
     def matrix(b: int) -> list:
         if f2:
-            bits = []
-            for i in members[b]:
-                acc = 0
-                for j in cols[i]:
-                    acc ^= 1 << j
-                bits.append(acc)
+            bits = [0] * sizes[b]
+            for i, j in zip(src[b], dst[b]):
+                bits[i] ^= 1 << j
             return bits
-        dense = []
-        width = len(members[nxt[b]])
-        for i in members[b]:
-            row = [0] * width
-            for j, v in zip(cols[i], vals[i]):
-                row[j] += v
-            dense.append(row)
+        width = sizes[nxt[b]]
+        dense = [[0] * width for _ in range(sizes[b])]
+        for i, j, v in zip(src[b], dst[b], val[b]):
+            dense[i][j] += v
         return dense
 
     def squares_to_zero(b: int, rows: list, next_rows: list) -> bool:
         if f2:
-            return f2_is_zero(f2_mul([cols[i] for i in members[b]], next_rows))
+            return f2_is_zero(f2_mul(zip(src[b], dst[b]), sizes[b], next_rows))
         return int_is_zero(int_mul(rows, next_rows))
 
-    live = [any(cols[i] for i in m) for m in members]
+    live = [len(e) > 0 for e in src]
     rank = [0] * len(names)
     torsion: Dict[int, Tuple[int, ...]] = {}
     seen = [False] * len(names)
@@ -275,8 +297,8 @@ def block_homology(
                 factors = smith_invariant_factors(rows)
                 rank[b] = len(factors)
                 torsion[nxt[b]] = tuple(f for f in factors if f > 1)
-            t = nxt[b]
-            if t < 0 or not live[t]:
+            t = nxt[b]  # a block with entries has a target block
+            if not live[t]:
                 return
             next_rows = matrix(t)
             if not squares_to_zero(b, rows, next_rows):
@@ -298,7 +320,7 @@ def block_homology(
             incoming[t] += rank[b]
     out: Dict[Hashable, Tuple[int, Tuple[int, ...]]] = {}
     for b, k in enumerate(names):
-        free = len(members[b]) - rank[b] - incoming[b]
+        free = sizes[b] - rank[b] - incoming[b]
         tors = torsion.get(b, ())
         if free or tors:
             out[k] = (free, tors)

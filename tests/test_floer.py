@@ -3,6 +3,8 @@ structural symmetries (duality, reversal, unions, sums)."""
 
 import json
 import random
+import tracemalloc
+from array import array
 from collections import Counter
 from importlib import resources
 from itertools import permutations
@@ -197,15 +199,16 @@ ORACLE_GRIDS = _oracle_grids()
 @pytest.mark.parametrize("block_x", [True, False], ids=["tilde", "total"])
 @pytest.mark.parametrize("g", ORACLE_GRIDS)
 def test_complex_gradings_match_reference(g, block_x):
-    grads, _edges = floer._complex(g, block_x)
+    m2s, a2s, _edges = floer._complex(g, block_x)
+    assert isinstance(m2s, array) and isinstance(a2s, array)
     gens = list(permutations(range(g.n)))
-    assert grads == [gradings(g, x) for x in gens]
+    assert list(zip(m2s, a2s)) == [gradings(g, x) for x in gens]
 
 
 @pytest.mark.parametrize("block_x", [True, False], ids=["tilde", "total"])
 @pytest.mark.parametrize("g", ORACLE_GRIDS)
 def test_complex_edges_match_reference(g, block_x):
-    _grads, edges = floer._complex(g, block_x)
+    _m2s, _a2s, edges = floer._complex(g, block_x)
     assert mod2_edges(edges) == reference_edges(g, block_x)
 
 
@@ -265,14 +268,14 @@ def test_full_hat_is_symmetric(g):
 def test_top_half_walk_lists_the_a2_slice(g):
     gens = list(permutations(range(g.n)))
     want = [x for x in gens if gradings(g, x)[1] >= 0]
-    codes, grads = floer._generators(g, top_half=True)
+    codes, m2s, a2s = floer._generators(g, top_half=True)
     xs = floer._decode(g.n, codes)
     assert xs == want
-    assert grads == [gradings(g, x) for x in want]
+    assert list(zip(m2s, a2s)) == [gradings(g, x) for x in want]
     # Its rectangles are the full complex's edges out of the slice, and
     # none leaves it.
     index = {x: i for i, x in enumerate(gens)}
-    _grads, edges = floer._complex(g, block_x=True, top_half=True)
+    _m2s, _a2s, edges = floer._complex(g, block_x=True, top_half=True)
     got = {(index[xs[i]], index[xs[j]]) for i, j in mod2_edges(edges)}
     sliced = {index[x] for x in want}
     assert got == {(i, j) for i, j in reference_edges(g, True) if i in sliced}
@@ -348,6 +351,25 @@ def test_unlink_hat_is_the_rank_two_factor():
 )
 def test_total_homology_rank_two_power(diagram, expected):
     assert total_homology(diagram) == expected
+
+
+# Traced peak of ``total_homology_from_grid`` on the Borromean grid when
+# every generator carried a grading tuple and a row array, and two
+# blocks of bitset rows were alive at once.
+_BORROMEAN_TOTAL_PEAK_BEFORE = 27.4 * 2**20
+
+
+def test_total_complex_memory_on_the_borromean_grid():
+    g = simplify_grid(pd_to_grid(braid_closure([1, -2] * 3, 3)))
+    assert g.n == 8
+    tracemalloc.start()
+    try:
+        total = total_homology_from_grid(g)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert total == Laurent(U, {(2,): 1, (0,): 2, (-2,): 1})
+    assert peak <= _BORROMEAN_TOTAL_PEAK_BEFORE / 2
 
 
 @pytest.mark.parametrize(

